@@ -1,21 +1,27 @@
 """Minimal enclosing balls (Chebyshev centers) in R^N with support certificates.
 
-Exact combinatorial computation in the style of Welzl's randomized-incremental
-recursion: the minimal ball is determined by at most N+1 boundary points, and
-the recursion maintains that boundary set explicitly.  The processing order is
-a fixed-seed shuffle of the lexicographically sorted unique points, so results
-do not depend on the order the caller supplies.
+Exact combinatorial computation by pivoting (Gärtner, "Fast and robust
+smallest enclosing balls", ESA 1999): Welzl's randomized-incremental
+recursion solves a working set of at most N+2 points exactly, and the
+farthest point outside that ball is swapped into the working set together
+with the ball's support (at most N+1 points on its sphere), until no point
+lies outside.  The recursion is therefore at most N+2 deep whatever the
+input size.  Each pivot strictly grows the radius, so the loop ends; a cap of
+``MAX_PIVOTS`` pivots turns a rounding-induced cycle into an
+``InternalConsistencyError``.  The processing order is a fixed-seed shuffle
+of the lexicographically sorted unique points, so results do not depend on
+the order the caller supplies.  Every ball is then checked to contain every
+input point, and its center is certified inside the convex hull of its
+support by nonnegative least squares.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InternalConsistencyError
 
@@ -30,6 +36,9 @@ _INSIDE_REL = 3e-13
 HULL_TOL = 1e-9
 
 _SHUFFLE_SEED = 0x5EB
+
+#: pivots allowed before the ball solver gives up
+MAX_PIVOTS = 200
 
 
 @dataclass(frozen=True)
@@ -76,17 +85,41 @@ def _inside(ball, p) -> bool:
 
 
 def _welzl(pts: np.ndarray, i: int, boundary: list[np.ndarray], dim: int):
+    """Smallest ball of pts[i:] with ``boundary`` on its sphere, and the
+    boundary points that define it (at most N+1)."""
     if i == len(pts) or len(boundary) == dim + 1:
-        return _circumball(boundary)
-    ball = _welzl(pts, i + 1, boundary, dim)
+        return _circumball(boundary), boundary
+    ball, basis = _welzl(pts, i + 1, boundary, dim)
     p = pts[i]
     if _inside(ball, p):
-        return ball
+        return ball, basis
     return _welzl(pts, i + 1, boundary + [p], dim)
+
+
+def _pivot_ball(work: np.ndarray, dim: int):
+    """Smallest ball of ``work`` by pivoting: after each exact solve of the
+    working set, the farthest outside point joins the ball's support as a
+    boundary point of the next solve, since it lies on the next ball's sphere."""
+    basis, boundary = work[: dim + 2], []
+    for _ in range(MAX_PIVOTS):
+        ball, support = _welzl(basis, 0, boundary, dim)
+        center, r2 = ball
+        d2 = ((work - center) ** 2).sum(axis=1)
+        far = int(np.argmax(d2))
+        if d2[far] <= r2 * (1.0 + _INSIDE_REL) + 1e-30:
+            return ball
+        basis, boundary = np.stack(support), [work[far]]
+    raise InternalConsistencyError(
+        f"smallest-ball pivoting did not settle within {MAX_PIVOTS} pivots"
+    )
 
 
 def _support_certificate(points: np.ndarray, center: np.ndarray, radius: float):
     """Pick <= N+1 boundary points whose convex hull provably holds the center."""
+    # imported here: scipy.optimize dominates the package's import time, and
+    # 1-D balls never reach this point
+    from scipy.optimize import nnls
+
     dists = np.sqrt(((points - center) ** 2).sum(axis=1))
     scale = max(1.0, radius)
     tol = 1e-7 * scale
@@ -135,11 +168,7 @@ def chebyshev_center(points) -> BallCertificate:
         return BallCertificate(center=center, radius=radius, support=tuple(sorted(support)), hull_residual=0.0)
 
     order = np.random.default_rng(_SHUFFLE_SEED).permutation(uniq.shape[0])
-    work = uniq[order]
-    if work.shape[0] > 200:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * work.shape[0] + 1000))
-    ball = _welzl(work, 0, [], dim)
-    center, r2 = ball
+    center, r2 = _pivot_ball(uniq[order], dim)
     radius = math.sqrt(max(r2, 0.0))
 
     dmax = float(np.sqrt(((pts - center) ** 2).sum(axis=1)).max())
@@ -180,10 +209,15 @@ def jung_check(points, tol: float = 1e-9) -> JungCheck:
     if pts.ndim == 1:
         pts = pts[:, None]
     n, dim = pts.shape
-    diff = pts[:, None, :] - pts[None, :, :]
-    dmat = np.sqrt((diff * diff).sum(axis=2))
-    pair = np.unravel_index(int(np.argmax(dmat)), dmat.shape)
-    diameter = float(dmat[pair])
+    # one row of the distance matrix at a time keeps memory at O(n * N);
+    # the strict comparison keeps the first maximum in row-major order
+    diameter, pair = -1.0, (0, 0)
+    for i in range(n):
+        diff = pts[i] - pts
+        row = np.sqrt((diff * diff).sum(axis=1))
+        j = int(np.argmax(row))
+        if row[j] > diameter:
+            diameter, pair = float(row[j]), (i, j)
     cert = chebyshev_center(pts)
     lower = diameter / 2.0
     upper = jung_ratio(dim) * diameter
@@ -195,5 +229,5 @@ def jung_check(points, tol: float = 1e-9) -> JungCheck:
         upper=upper,
         ok=ok,
         ball=cert,
-        diameter_pair=(int(pair[0]), int(pair[1])),
+        diameter_pair=pair,
     )

@@ -235,6 +235,35 @@ def _window_points(x: PLPath, lo: float, hi: float) -> np.ndarray:
     return x.at(times)
 
 
+def _window_balls(x: PLPath, windows) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev centers (one row per window) and radii of the path's points
+    in each window: the endpoint values and the inner knot values."""
+    if x.n_dim > 1:
+        certs = [chebyshev_center(_window_points(x, lo, hi)) for lo, hi in windows]
+        return np.stack([c.center for c in certs]), np.array([c.radius for c in certs])
+    # in 1-D the ball is [min, max]; one vectorised pass over all windows
+    # gives the same floats as chebyshev_center window by window
+    lo, hi = np.array(windows).T
+    v_lo = x.at(lo)[:, 0]
+    v_hi = x.at(hi)[:, 0]
+    # a trailing dummy lets reduceat take a window ending at the last knot
+    v_knots = np.append(x.at(x.knots)[:, 0], 0.0)
+    bounds = np.stack([
+        np.searchsorted(x.knots, lo, side="left"),
+        np.searchsorted(x.knots, hi, side="right"),
+    ], axis=1).ravel()
+    inner = bounds[1::2] > bounds[::2]
+    mins = np.minimum(v_lo, v_hi)
+    maxs = np.maximum(v_lo, v_hi)
+    mins[inner] = np.minimum(mins, np.minimum.reduceat(v_knots, bounds)[::2])[inner]
+    maxs[inner] = np.maximum(maxs, np.maximum.reduceat(v_knots, bounds)[::2])[inner]
+    # on a constant window the solver keeps the first point, the left end;
+    # taking it keeps the sign of a zero
+    flat = mins == maxs
+    mins[flat] = maxs[flat] = v_lo[flat]
+    return ((mins + maxs) / 2.0)[:, None], (maxs - mins) / 2.0
+
+
 def lattice_points(pitch: float, bound: float, n_dim: int) -> np.ndarray:
     """Axis lattice of the given pitch intersected with the closed ball of
     radius ``bound``; refuses enumerations above 10^7 raw grid points."""
@@ -307,13 +336,7 @@ def aa_net(
     member_keys: dict[bytes, int] = {}
     per_sample = []
     for x in family:
-        centers = []
-        radii = []
-        for lo, hi in windows:
-            cert = chebyshev_center(_window_points(x, lo, hi))
-            centers.append(cert.center)
-            radii.append(cert.radius)
-        centers = np.stack(centers)
+        centers, radii = _window_balls(x, windows)
         values = centers[np.arange(grid_times.size) // 2]
         snapped = np.round(values / pitch) * pitch
         norms = np.sqrt((snapped * snapped).sum(axis=1))
@@ -336,7 +359,7 @@ def aa_net(
                 member_index=idx,
                 achieved=achieved,
                 bound=bound,
-                window_radii_max=float(max(radii)),
+                window_radii_max=float(radii.max()),
             )
         )
 

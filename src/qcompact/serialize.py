@@ -115,12 +115,18 @@ def dumps_deterministic(obj: Any) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text to path with no partial-file window (write then rename)."""
+    """Write text to path with no partial-file window (write then rename).
+
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the 0o600 of the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -121,3 +121,53 @@ def meb_grid_1e6(points, span: float = 1.5, steps: int = 601) -> float:
         center = grid[int(np.argmin(d))]
         width /= 10.0
     return float(np.sqrt(((pts - center) ** 2).sum(axis=1)).max())
+
+
+def meb_welzl_recursive(points) -> tuple[np.ndarray, float]:
+    """Minimal enclosing ball by Welzl's recursion over the whole input.
+
+    The package's solver before it pivoted: same fixed-seed shuffle of the
+    sorted unique points, same membership slack, but one recursion over all
+    of them, so its depth is the point count and its cost grows roughly like
+    (N+1)! * n.  Keep inputs to a few hundred points in low dimension and a
+    few dozen at dimension 16.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    uniq = np.unique(pts, axis=0)
+    work = uniq[np.random.default_rng(0x5EB).permutation(uniq.shape[0])]
+    dim = pts.shape[1]
+
+    def circumball(boundary):
+        if not boundary:
+            return None
+        b0 = boundary[0]
+        if len(boundary) == 1:
+            return b0, 0.0
+        v = np.stack(boundary[1:]) - b0
+        gram = 2.0 * (v @ v.T)
+        rhs = (v * v).sum(axis=1)
+        try:
+            x = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            x, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        center = b0 + x @ v
+        return center, float(((center - b0) ** 2).sum())
+
+    def inside(ball, p):
+        if ball is None:
+            return False
+        c, r2 = ball
+        return float(((p - c) ** 2).sum()) <= r2 * (1.0 + 3e-13) + 1e-30
+
+    def welzl(i, boundary):
+        if i == len(work) or len(boundary) == dim + 1:
+            return circumball(boundary)
+        ball = welzl(i + 1, boundary)
+        if inside(ball, work[i]):
+            return ball
+        return welzl(i + 1, boundary + [work[i]])
+
+    center, r2 = welzl(0, [])
+    return center, float(np.sqrt(max(r2, 0.0)))

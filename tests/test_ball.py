@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcompact import chebyshev_center, jung_check, jung_ratio
+import qcompact
+from qcompact import InternalConsistencyError, chebyshev_center, jung_check, jung_ratio
+from qcompact import ball as ball_module
 
-from oracles import meb_by_subsets, meb_grid_1e6
+from oracles import meb_by_subsets, meb_grid_1e6, meb_welzl_recursive
 
 
 def point_cloud(max_dim=3, max_points=7):
@@ -20,6 +25,22 @@ def point_cloud(max_dim=3, max_points=7):
         min_size=1,
         max_size=max_points,
     )
+
+
+def assert_certificate(pts, out):
+    """Every point inside, support on the sphere, center in the support hull."""
+    from scipy.optimize import nnls
+
+    arr = np.asarray(pts, dtype=float)
+    dists = np.linalg.norm(arr - out.center, axis=1)
+    assert (dists <= out.radius + 1e-9).all()
+    assert len(out.support) <= arr.shape[1] + 1
+    for i in out.support:
+        assert dists[i] == pytest.approx(out.radius, abs=1e-7)
+    assert out.hull_residual <= 1e-9
+    sup = arr[list(out.support)]
+    _, resid = nnls(np.vstack([sup.T, np.ones(len(sup))]), np.append(out.center, 1.0))
+    assert resid <= 1e-9 * max(1.0, out.radius)
 
 
 class TestChebyshevCenter:
@@ -68,15 +89,7 @@ class TestChebyshevCenter:
     @given(point_cloud())
     @settings(max_examples=50)
     def test_certificate_invariants(self, pts):
-        out = chebyshev_center(pts)
-        arr = np.asarray(pts, dtype=float)
-        dists = np.linalg.norm(arr - out.center, axis=1)
-        # every point inside, support points on the boundary
-        assert (dists <= out.radius + 1e-9).all()
-        assert len(out.support) <= arr.shape[1] + 1
-        for i in out.support:
-            assert dists[i] == pytest.approx(out.radius, abs=1e-7)
-        assert out.hull_residual <= 1e-9
+        assert_certificate(pts, chebyshev_center(pts))
 
     @given(point_cloud(max_dim=2, max_points=6), st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=40)
@@ -101,6 +114,52 @@ class TestChebyshevCenter:
         base = chebyshev_center(pts)
         scaled = chebyshev_center(np.asarray(pts) * scale)
         assert scaled.radius == pytest.approx(scale * base.radius, rel=1e-9, abs=1e-12)
+
+
+class TestPivoting:
+    @pytest.mark.parametrize(
+        "dim, n", [(2, 300), (4, 200), (8, 80), (12, 40), (16, 30)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_whole_input_recursion(self, dim, n, seed):
+        pts = np.random.default_rng([dim, seed]).standard_normal((n, dim))
+        out = chebyshev_center(pts)
+        _, want_r = meb_welzl_recursive(pts)
+        assert out.radius == pytest.approx(want_r, rel=1e-12, abs=0.0)
+        assert_certificate(pts, out)
+
+    def test_large_cloud_in_dimension_16(self):
+        pts = np.random.default_rng(16).standard_normal((5000, 16))
+        assert_certificate(pts, chebyshev_center(pts))
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        pts = np.random.default_rng(5).standard_normal((300, 4))
+        assert_certificate(pts, chebyshev_center(pts))
+        monkeypatch.setattr(ball_module, "MAX_PIVOTS", 1)
+        with pytest.raises(InternalConsistencyError, match="pivots"):
+            chebyshev_center(pts)
+
+    def test_small_sets_need_no_pivot(self, monkeypatch):
+        # up to N+2 points are solved by one recursion over all of them
+        monkeypatch.setattr(ball_module, "MAX_PIVOTS", 1)
+        pts = np.random.default_rng(6).standard_normal((5, 3))
+        assert_certificate(pts, chebyshev_center(pts))
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, qcompact.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported with the CLI'\n"
+            "from qcompact import chebyshev_center\n"
+            "c = chebyshev_center([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])\n"
+            "print(len(c.support), c.hull_residual <= 1e-9)\n"
+        )
+        src = os.path.dirname(os.path.dirname(qcompact.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        )
+        assert out.stdout.split() == ["3", "True"]
 
 
 class TestJung:
@@ -145,3 +204,22 @@ class TestJung:
         assert chk.ok
         assert chk.lower <= chk.radius + 1e-9
         assert chk.radius <= chk.upper + 1e-9
+
+    @given(point_cloud(max_dim=3, max_points=8))
+    @settings(max_examples=40)
+    def test_diameter_matches_full_matrix(self, pts):
+        self._check_against_full_matrix(np.asarray(pts, dtype=float))
+
+    def test_diameter_ties_keep_first_pair(self):
+        grid = np.array([[x, y] for x in (0.0, 1.0, 2.0) for y in (0.0, 1.0, 2.0)])
+        self._check_against_full_matrix(grid)
+        self._check_against_full_matrix(grid[::-1])
+
+    @staticmethod
+    def _check_against_full_matrix(arr):
+        diff = arr[:, None, :] - arr[None, :, :]
+        dmat = np.sqrt((diff * diff).sum(axis=2))
+        pair = np.unravel_index(int(np.argmax(dmat)), dmat.shape)
+        chk = jung_check(arr)
+        assert chk.diameter == float(dmat[pair])
+        assert chk.diameter_pair == (int(pair[0]), int(pair[1]))

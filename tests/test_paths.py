@@ -11,10 +11,13 @@ from qcompact import (
     jung_ratio,
     lattice_points,
     modulus,
+    chebyshev_center,
     mu_uec_family,
+    sample_walks,
     uniform_distance,
     verify_qaa,
 )
+from qcompact.paths import _window_balls, _window_grid, _window_points
 
 from oracles import dense_modulus, dense_uniform_distance
 
@@ -194,6 +197,53 @@ class TestBridgeLemmas:
         L = PLPath([0.0, 1.0], [[c1], [c2]])
         M = PLPath([0.0, 1.0], [[y1], [y2]])
         assert uniform_distance(L, M) <= eps + 1e-12
+
+
+def per_window_balls(x, windows):
+    certs = [chebyshev_center(_window_points(x, lo, hi)) for lo, hi in windows]
+    return np.stack([c.center for c in certs]), np.array([c.radius for c in certs])
+
+
+class TestWindowBalls1D:
+    """The batched 1-D pass must give the solver's floats, window by window."""
+
+    def assert_same_as_solver(self, x, delta):
+        _, windows = _window_grid(delta)
+        got_c, got_r = _window_balls(x, windows)
+        want_c, want_r = per_window_balls(x, windows)
+        assert np.array_equal(got_c, want_c) and np.array_equal(got_r, want_r)
+        # signed zeros too
+        assert np.array_equal(np.signbit(got_c), np.signbit(want_c))
+
+    @pytest.mark.parametrize("delta", [0.01, 0.05, 0.3, 1.0])
+    def test_sampled_walks(self, delta):
+        for x in sample_walks(64, 20, seed=7).paths:
+            self.assert_same_as_solver(x, delta)
+
+    @given(
+        st.lists(st.floats(0.001, 0.999), min_size=0, max_size=12, unique=True),
+        st.lists(st.integers(-3, 3), min_size=14, max_size=14),
+        st.sampled_from([0.02, 0.1, 0.25, 0.7]),
+    )
+    @settings(max_examples=60)
+    def test_irregular_knots(self, inner, levels, delta):
+        knots = np.array([0.0] + sorted(inner) + [1.0])
+        values = np.array(levels[: knots.size], dtype=float) / 3.0
+        self.assert_same_as_solver(PLPath(knots, values), delta)
+
+    def test_windows_without_inner_knots(self):
+        x = PLPath([0.0, 0.5, 0.51, 1.0], [[0.3], [-0.2], [0.1], [0.25]])
+        _, windows = _window_grid(0.05)
+        empty = [
+            lo for lo, hi in windows
+            if not ((x.knots >= lo) & (x.knots <= hi)).any()
+        ]
+        assert empty
+        self.assert_same_as_solver(x, 0.05)
+
+    @pytest.mark.parametrize("values", [[-0.0, -0.0, 0.0], [0.0, -0.0, -0.0]])
+    def test_constant_windows_keep_the_sign_of_zero(self, values):
+        self.assert_same_as_solver(PLPath([0.0, 0.5, 1.0], values), 0.1)
 
 
 class TestAANet:
