@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalConsistencyError
+from .tolerances import HULL_TOL
 
 __all__ = ["BallCertificate", "chebyshev_center", "jung_ratio", "JungCheck", "jung_check"]
 
@@ -31,9 +32,6 @@ MAX_DIM = 16
 
 #: multiplicative slack in the squared-radius membership test
 _INSIDE_REL = 3e-13
-
-#: residual budget for the convex-hull certificate of the center
-HULL_TOL = 1e-9
 
 _SHUFFLE_SEED = 0x5EB
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .prokhorov import (
 )
 from .serialize import dumps_deterministic, csv_text, sha256_file, write_atomic
 from .stochastic import PathEnsemble, sample_walks, verify_qsaa
+from .tolerances import ORACLE_TOL
 
 __all__ = ["main", "RunConfig"]
 
@@ -40,8 +41,8 @@ EXIT_INPUT = 1
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
 
-#: commands that can emit CSV (everything else is JSON-only)
-CSV_COMMANDS = {"prokhorov-dist", "cover-profile", "aa-net"}
+#: exit code of a sandwich report, by its status
+STATUS_EXIT = {"verified": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE, "failed": EXIT_FAILED}
 
 #: spaces small enough to cross-check against the subset-enumeration oracle
 ORACLE_LIMIT = 12
@@ -64,7 +65,6 @@ class RunConfig:
     out: Optional[str] = None
     format: str = "json"
     seed: Optional[int] = None
-    threads: int = 0
 
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
@@ -73,13 +73,17 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
         raise CLIError(f"{where}: unknown field {sorted(unknown)[0]!r}")
 
 
+def _convert(convert, value, name: str, kind: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise CLIError(f"{name}: expected {kind}")
+
+
 def _as_grid(value, name: str) -> list[float]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
-    try:
-        grid = [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise CLIError(f"{name}: expected a list of numbers")
+    grid = _convert(lambda vs: [float(v) for v in vs], value, name, "a list of numbers")
     if not grid:
         raise CLIError(f"{name}: must be nonempty")
     if any(not np.isfinite(g) or g <= 0.0 for g in grid):
@@ -90,30 +94,21 @@ def _as_grid(value, name: str) -> list[float]:
 
 
 def _as_pos_real(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise CLIError(f"{name}: expected a number")
+    x = _convert(float, value, name, "a number")
     if not np.isfinite(x) or x <= 0.0:
         raise CLIError(f"{name}: must be finite and > 0")
     return x
 
 
 def _as_nonneg_real(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise CLIError(f"{name}: expected a number")
+    x = _convert(float, value, name, "a number")
     if not np.isfinite(x) or x < 0.0:
         raise CLIError(f"{name}: must be finite and >= 0")
     return x
 
 
 def _as_pos_int(value, name: str) -> int:
-    try:
-        k = int(value)
-    except (TypeError, ValueError):
-        raise CLIError(f"{name}: expected an integer")
+    k = _convert(int, value, name, "an integer")
     if k < 1:
         raise CLIError(f"{name}: must be >= 1")
     return k
@@ -125,66 +120,8 @@ def _as_bool(value, name: str) -> bool:
     raise CLIError(f"{name}: expected true or false")
 
 
-# validator, required flag — drives both the config file and the flag parser
-PARAM_SPECS: dict[str, dict[str, tuple]] = {
-    "prokhorov-dist": {"lambda_grid": (_as_grid, True)},
-    "tv-dist": {},
-    "mu-ut": {"eps_grid": (_as_grid, True), "k_max": (_as_pos_int, True)},
-    "cover-profile": {"k_max": (_as_pos_int, True)},
-    "modulus": {"delta_grid": (_as_grid, True)},
-    "cheby": {},
-    "jung-check": {},
-    "aa-net": {
-        "delta": (_as_pos_real, True),
-        "alpha": (_as_nonneg_real, True),
-        "bound_m": (_as_pos_real, True),
-        "eps": (_as_pos_real, True),
-        "list_lattice": (_as_bool, False),
-    },
-    "verify-qprokh": {
-        "lambda_grid": (_as_grid, True),
-        "eps": (_as_pos_real, True),
-        "mu_eps_grid": (_as_grid, False),
-        "k_max": (_as_pos_int, False),
-    },
-    "verify-qaa": {
-        "delta_grid": (_as_grid, True),
-        "bound_m": (_as_pos_real, True),
-        "eps": (_as_pos_real, True),
-    },
-    "verify-qsaa": {
-        "lambda_grid": (_as_grid, True),
-        "eps_grid": (_as_grid, True),
-        "delta_grid": (_as_grid, True),
-        "m_grid": (_as_grid, True),
-        "eps": (_as_pos_real, True),
-    },
-    "gen-walks": {
-        "n_steps": (_as_pos_int, True),
-        "n_paths": (_as_pos_int, True),
-        "scale": (_as_nonneg_real, True),
-    },
-}
-
-INPUT_SPECS: dict[str, list[tuple[str, bool]]] = {
-    # (role, is_list)
-    "prokhorov-dist": [("p", False), ("q", False)],
-    "tv-dist": [("p", False), ("q", False)],
-    "mu-ut": [("measures", True)],
-    "cover-profile": [("space", False)],
-    "modulus": [("path", False)],
-    "cheby": [("points", False)],
-    "jung-check": [("points", False)],
-    "aa-net": [("family", False)],
-    "verify-qprokh": [("measures", True)],
-    "verify-qaa": [("family", False)],
-    "verify-qsaa": [("ensembles", True)],
-    "gen-walks": [],
-}
-
-
 def _validate_params(command: str, raw: dict) -> dict:
-    spec = PARAM_SPECS[command]
+    spec = COMMANDS[command].params
     _reject_unknown(raw, spec, f"params for {command}")
     out = {}
     for name, (validator, required) in spec.items():
@@ -196,7 +133,7 @@ def _validate_params(command: str, raw: dict) -> dict:
 
 
 def _validate_inputs(command: str, raw: dict) -> dict:
-    spec = INPUT_SPECS[command]
+    spec = COMMANDS[command].inputs
     _reject_unknown(raw, [r for r, _ in spec], f"inputs for {command}")
     out = {}
     for role, is_list in spec:
@@ -220,13 +157,9 @@ def load_config_file(path: str) -> RunConfig:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise CLIError(f"{path}: config must be a JSON object")
-    _reject_unknown(
-        obj,
-        {"command", "inputs", "params", "out", "format", "seed", "threads"},
-        path,
-    )
+    _reject_unknown(obj, {"command", "inputs", "params", "out", "format", "seed"}, path)
     command = obj.get("command")
-    if command not in PARAM_SPECS:
+    if command not in COMMANDS:
         raise CLIError(f"{path}: unknown command {command!r}")
     fmt = obj.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -234,9 +167,6 @@ def load_config_file(path: str) -> RunConfig:
     seed = obj.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise CLIError(f"{path}: seed must be a nonnegative integer")
-    threads = obj.get("threads", 0)
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 0:
-        raise CLIError(f"{path}: threads must be a nonnegative integer")
     base = os.path.dirname(os.path.abspath(path))
     inputs = _validate_inputs(command, obj.get("inputs", {}))
     resolved = {
@@ -254,7 +184,6 @@ def load_config_file(path: str) -> RunConfig:
         out=obj.get("out"),
         format=fmt,
         seed=seed,
-        threads=threads,
     )
 
 
@@ -273,14 +202,19 @@ def _load_json(path: str):
         raise CLIError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _load_space_obj(obj, where: str) -> FiniteMetricSpace:
+def _parse(build, obj, where: str):
+    """``build(obj)``, with a ValueError reported as bad input at ``where``."""
     try:
-        return FiniteMetricSpace.from_dict(obj)
+        return build(obj)
     except ValueError as exc:
         raise CLIError(f"{where}: {exc}")
 
 
-def _load_measure(path: str, space_cache: dict) -> tuple[DiscreteMeasure, str]:
+def _load_space(path: str) -> FiniteMetricSpace:
+    return _parse(FiniteMetricSpace.from_dict, _load_json(path), path)
+
+
+def _load_measure(path: str, space_cache: dict) -> DiscreteMeasure:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise CLIError(f"{path}: measure must be a JSON object")
@@ -291,20 +225,21 @@ def _load_measure(path: str, space_cache: dict) -> tuple[DiscreteMeasure, str]:
     if isinstance(spec, str):
         ref = os.path.join(os.path.dirname(os.path.abspath(path)), spec)
         if ref not in space_cache:
-            space_cache[ref] = _load_space_obj(_load_json(ref), ref)
+            space_cache[ref] = _load_space(ref)
         space = space_cache[ref]
     else:
-        space = _load_space_obj(spec, f"{path}: space")
-    try:
-        return DiscreteMeasure(space, obj["mass"]), path
-    except ValueError as exc:
-        raise CLIError(f"{path}: {exc}")
+        space = _parse(FiniteMetricSpace.from_dict, spec, f"{path}: space")
+    return _parse(lambda mass: DiscreteMeasure(space, mass), obj["mass"], path)
 
 
-def _common_space(measures: list[DiscreteMeasure], paths: list[str]) -> None:
+def _load_measures(paths: list[str]) -> list[DiscreteMeasure]:
+    """Measures on one common space; a space file they share is read once."""
+    cache: dict = {}
+    measures = [_load_measure(p, cache) for p in paths]
     for m, p in zip(measures[1:], paths[1:]):
         if m.space is not measures[0].space and not m.space.same_as(measures[0].space):
             raise CLIError(f"{p}: space differs from {paths[0]}")
+    return measures
 
 
 def _load_coords(path: str) -> np.ndarray:
@@ -320,14 +255,6 @@ def _load_coords(path: str) -> np.ndarray:
     return coords
 
 
-def _load_path(path: str) -> PLPath:
-    obj = _load_json(path)
-    try:
-        return PLPath.from_dict(obj)
-    except ValueError as exc:
-        raise CLIError(f"{path}: {exc}")
-
-
 def _load_family(path: str) -> list[PLPath]:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "paths" not in obj:
@@ -335,21 +262,10 @@ def _load_family(path: str) -> list[PLPath]:
     _reject_unknown(obj, {"paths"}, path)
     if not isinstance(obj["paths"], list) or not obj["paths"]:
         raise CLIError(f"{path}: 'paths' must be a nonempty array")
-    out = []
-    for i, entry in enumerate(obj["paths"]):
-        try:
-            out.append(PLPath.from_dict(entry))
-        except ValueError as exc:
-            raise CLIError(f"{path}: paths[{i}]: {exc}")
-    return out
-
-
-def _load_ensemble(path: str) -> PathEnsemble:
-    obj = _load_json(path)
-    try:
-        return PathEnsemble.from_dict(obj)
-    except ValueError as exc:
-        raise CLIError(f"{path}: {exc}")
+    return [
+        _parse(PLPath.from_dict, entry, f"{path}: paths[{i}]")
+        for i, entry in enumerate(obj["paths"])
+    ]
 
 
 def _hash_entry(path: str) -> dict:
@@ -367,15 +283,12 @@ def _input_hashes(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (results, csv payload or None, exit code)
+# command handlers: return (results, CSV rows or None, exit code)
 # ---------------------------------------------------------------------------
 
 
 def _run_prokhorov_dist(cfg: RunConfig):
-    cache: dict = {}
-    P, p_path = _load_measure(cfg.inputs["p"], cache)
-    Q, q_path = _load_measure(cfg.inputs["q"], cache)
-    _common_space([P, Q], [p_path, q_path])
+    P, Q = _load_measures([cfg.inputs["p"], cfg.inputs["q"]])
     n = P.space.n_points
     rows = []
     for lam in cfg.params["lambda_grid"]:
@@ -383,7 +296,7 @@ def _run_prokhorov_dist(cfg: RunConfig):
         oracle_checked = n <= ORACLE_LIMIT
         if oracle_checked:
             ref = prokhorov_oracle(P, Q, lam)
-            if abs(ref - res.alpha_star) > 1e-9:
+            if abs(ref - res.alpha_star) > ORACLE_TOL:
                 raise InternalConsistencyError(
                     f"sweep value {res.alpha_star!r} disagrees with the "
                     f"subset oracle {ref!r} at lam={lam!r}"
@@ -397,42 +310,30 @@ def _run_prokhorov_dist(cfg: RunConfig):
                 "oracle_checked": oracle_checked,
             }
         )
-    csv = (["lambda", "alpha_star"], [(r["lambda"], r["alpha_star"]) for r in rows])
-    return {"n_points": n, "rows": rows}, csv, EXIT_OK
+    table = [(r["lambda"], r["alpha_star"]) for r in rows]
+    return {"n_points": n, "rows": rows}, table, EXIT_OK
 
 
 def _run_tv_dist(cfg: RunConfig):
-    cache: dict = {}
-    P, p_path = _load_measure(cfg.inputs["p"], cache)
-    Q, q_path = _load_measure(cfg.inputs["q"], cache)
-    _common_space([P, Q], [p_path, q_path])
+    P, Q = _load_measures([cfg.inputs["p"], cfg.inputs["q"]])
     return {"tv": tv_distance(P, Q)}, None, EXIT_OK
 
 
 def _run_mu_ut(cfg: RunConfig):
-    cache: dict = {}
-    loaded = [_load_measure(p, cache) for p in cfg.inputs["measures"]]
-    measures = [m for m, _ in loaded]
-    _common_space(measures, [p for _, p in loaded])
+    measures = _load_measures(cfg.inputs["measures"])
     result = mu_ut(measures, cfg.params["eps_grid"], cfg.params["k_max"])
     return {"mu_ut": result}, None, EXIT_OK
 
 
 def _run_cover_profile(cfg: RunConfig):
-    space = _load_space_obj(_load_json(cfg.inputs["space"]), cfg.inputs["space"])
-    try:
-        profile = cover_profile(space.dist, cfg.params["k_max"], coords=space.coords)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    csv = (
-        ["k", "r_k", "p_k"],
-        [(e.k, e.radius, e.packing) for e in profile.entries],
-    )
-    return {"profile": profile}, csv, EXIT_OK
+    space = _load_space(cfg.inputs["space"])
+    profile = cover_profile(space.dist, cfg.params["k_max"], coords=space.coords)
+    table = [(e.k, e.radius, e.packing) for e in profile.entries]
+    return {"profile": profile}, table, EXIT_OK
 
 
 def _run_modulus(cfg: RunConfig):
-    path = _load_path(cfg.inputs["path"])
+    path = _parse(PLPath.from_dict, _load_json(cfg.inputs["path"]), cfg.inputs["path"])
     rows = [
         {"delta": d, "modulus": modulus(path, d)}
         for d in cfg.params["delta_grid"]
@@ -442,50 +343,34 @@ def _run_modulus(cfg: RunConfig):
 
 def _run_cheby(cfg: RunConfig):
     coords = _load_coords(cfg.inputs["points"])
-    try:
-        cert = chebyshev_center(coords)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    return {"ball": cert}, None, EXIT_OK
+    return {"ball": chebyshev_center(coords)}, None, EXIT_OK
 
 
 def _run_jung_check(cfg: RunConfig):
     coords = _load_coords(cfg.inputs["points"])
     if coords.shape[0] < 2:
         raise CLIError("jung-check needs at least 2 points")
-    try:
-        check = jung_check(coords)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    check = jung_check(coords)
     return {"jung": check}, None, EXIT_OK if check.ok else EXIT_FAILED
 
 
 def _run_aa_net(cfg: RunConfig):
     family = _load_family(cfg.inputs["family"])
     p = cfg.params
-    try:
-        net = aa_net(
-            family,
-            p["delta"],
-            p["alpha"],
-            p["bound_m"],
-            p["eps"],
-            materialize_lattice=p.get("list_lattice", False),
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    csv = (
-        ["sample", "achieved", "bound"],
-        [(i, s.achieved, s.bound) for i, s in enumerate(net.per_sample)],
+    net = aa_net(
+        family,
+        p["delta"],
+        p["alpha"],
+        p["bound_m"],
+        p["eps"],
+        materialize_lattice=p.get("list_lattice", False),
     )
-    return {"net": net}, csv, EXIT_OK
+    table = [(i, s.achieved, s.bound) for i, s in enumerate(net.per_sample)]
+    return {"net": net}, table, EXIT_OK
 
 
 def _run_verify_qprokh(cfg: RunConfig):
-    cache: dict = {}
-    loaded = [_load_measure(p, cache) for p in cfg.inputs["measures"]]
-    measures = [m for m, _ in loaded]
-    _common_space(measures, [p for _, p in loaded])
+    measures = _load_measures(cfg.inputs["measures"])
     p = cfg.params
     report = verify_qprokh(
         measures,
@@ -494,59 +379,161 @@ def _run_verify_qprokh(cfg: RunConfig):
         eps_grid=p.get("mu_eps_grid"),
         k_max=p.get("k_max"),
     )
-    code = {
-        "verified": EXIT_OK,
-        "inconclusive": EXIT_INCONCLUSIVE,
-        "failed": EXIT_FAILED,
-    }[report.status]
-    return {"report": report}, None, code
+    return {"report": report}, None, STATUS_EXIT[report.status]
 
 
 def _run_verify_qaa(cfg: RunConfig):
     family = _load_family(cfg.inputs["family"])
     p = cfg.params
-    try:
-        report = verify_qaa(family, p["delta_grid"], p["bound_m"], p["eps"])
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    code = EXIT_OK if report.status == "verified" else EXIT_FAILED
-    return {"report": report}, None, code
+    report = verify_qaa(family, p["delta_grid"], p["bound_m"], p["eps"])
+    return {"report": report}, None, STATUS_EXIT[report.status]
 
 
 def _run_verify_qsaa(cfg: RunConfig):
-    ensembles = [_load_ensemble(p) for p in cfg.inputs["ensembles"]]
+    ensembles = [
+        _parse(PathEnsemble.from_dict, _load_json(path), path)
+        for path in cfg.inputs["ensembles"]
+    ]
     p = cfg.params
-    try:
-        report = verify_qsaa(
-            ensembles,
-            p["lambda_grid"],
-            p["eps_grid"],
-            p["delta_grid"],
-            p["m_grid"],
-            p["eps"],
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    code = {
-        "verified": EXIT_OK,
-        "inconclusive": EXIT_INCONCLUSIVE,
-        "failed": EXIT_FAILED,
-    }[report.status]
-    return {"report": report}, None, code
+    report = verify_qsaa(
+        ensembles,
+        p["lambda_grid"],
+        p["eps_grid"],
+        p["delta_grid"],
+        p["m_grid"],
+        p["eps"],
+    )
+    return {"report": report}, None, STATUS_EXIT[report.status]
 
 
-HANDLERS = {
-    "prokhorov-dist": _run_prokhorov_dist,
-    "tv-dist": _run_tv_dist,
-    "mu-ut": _run_mu_ut,
-    "cover-profile": _run_cover_profile,
-    "modulus": _run_modulus,
-    "cheby": _run_cheby,
-    "jung-check": _run_jung_check,
-    "aa-net": _run_aa_net,
-    "verify-qprokh": _run_verify_qprokh,
-    "verify-qaa": _run_verify_qaa,
-    "verify-qsaa": _run_verify_qsaa,
+def _run_gen_walks(cfg: RunConfig):
+    if cfg.seed is None:
+        raise CLIError("gen-walks requires --seed")
+    p = cfg.params
+    ensemble = sample_walks(p["n_steps"], p["n_paths"], p["scale"], cfg.seed)
+    return ensemble.to_dict(), None, EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: the flag parser, config validation and dispatch all
+    read it.  ``params`` maps each parameter to ``(validator, required)``;
+    its flag is ``--`` plus the name with ``_`` as ``-``, and an ``_as_bool``
+    parameter is a ``store_true`` switch.  ``csv`` is the CSV header (empty:
+    JSON only).  Without ``envelope`` the results are the whole output."""
+
+    help: str
+    run: Callable[[RunConfig], tuple]
+    inputs: tuple[tuple[str, bool], ...] = ()  # (role, is_list)
+    params: dict[str, tuple[Callable, bool]] = field(default_factory=dict)
+    csv: tuple[str, ...] = ()
+    envelope: bool = True
+
+
+COMMANDS: dict[str, Command] = {
+    "prokhorov-dist": Command(
+        "scaled Prokhorov distance between two measures",
+        _run_prokhorov_dist,
+        inputs=(("p", False), ("q", False)),
+        params={"lambda_grid": (_as_grid, True)},
+        csv=("lambda", "alpha_star"),
+    ),
+    "tv-dist": Command(
+        "total variation distance between two measures",
+        _run_tv_dist,
+        inputs=(("p", False), ("q", False)),
+    ),
+    "mu-ut": Command(
+        "uniform-tightness defect bracket for a family",
+        _run_mu_ut,
+        inputs=(("measures", True),),
+        params={"eps_grid": (_as_grid, True), "k_max": (_as_pos_int, True)},
+    ),
+    "cover-profile": Command(
+        "greedy covering/packing profile of a space",
+        _run_cover_profile,
+        inputs=(("space", False),),
+        params={"k_max": (_as_pos_int, True)},
+        csv=("k", "r_k", "p_k"),
+    ),
+    "modulus": Command(
+        "oscillation of a PL path at window widths",
+        _run_modulus,
+        inputs=(("path", False),),
+        params={"delta_grid": (_as_grid, True)},
+    ),
+    "cheby": Command(
+        "minimal enclosing ball of a point set",
+        _run_cheby,
+        inputs=(("points", False),),
+    ),
+    "jung-check": Command(
+        "diameter/radius sandwich for a point set",
+        _run_jung_check,
+        inputs=(("points", False),),
+    ),
+    "aa-net": Command(
+        "interpolation net for a bounded equicontinuous family",
+        _run_aa_net,
+        inputs=(("family", False),),
+        params={
+            "delta": (_as_pos_real, True),
+            "alpha": (_as_nonneg_real, True),
+            "bound_m": (_as_pos_real, True),
+            "eps": (_as_pos_real, True),
+            "list_lattice": (_as_bool, False),
+        },
+        csv=("sample", "achieved", "bound"),
+    ),
+    "verify-qprokh": Command(
+        "tightness vs covering-radius sandwich for measures",
+        _run_verify_qprokh,
+        inputs=(("measures", True),),
+        params={
+            "lambda_grid": (_as_grid, True),
+            "eps": (_as_pos_real, True),
+            "mu_eps_grid": (_as_grid, False),
+            "k_max": (_as_pos_int, False),
+        },
+    ),
+    "verify-qaa": Command(
+        "equicontinuity vs covering sandwich for paths",
+        _run_verify_qaa,
+        inputs=(("family", False),),
+        params={
+            "delta_grid": (_as_grid, True),
+            "bound_m": (_as_pos_real, True),
+            "eps": (_as_pos_real, True),
+        },
+    ),
+    "verify-qsaa": Command(
+        "stochastic sandwich for path ensembles",
+        _run_verify_qsaa,
+        inputs=(("ensembles", True),),
+        params={
+            "lambda_grid": (_as_grid, True),
+            "eps_grid": (_as_grid, True),
+            "delta_grid": (_as_grid, True),
+            "m_grid": (_as_grid, True),
+            "eps": (_as_pos_real, True),
+        },
+    ),
+    # the artifact is the ensemble itself, directly loadable as an input
+    "gen-walks": Command(
+        "sample a seeded ensemble of scaled random walks",
+        _run_gen_walks,
+        params={
+            "n_steps": (_as_pos_int, True),
+            "n_paths": (_as_pos_int, True),
+            "scale": (_as_nonneg_real, True),
+        },
+        envelope=False,
+    ),
 }
 
 
@@ -558,36 +545,28 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def run(cfg: RunConfig) -> int:
-    if cfg.format == "csv" and cfg.command not in CSV_COMMANDS:
+    command = COMMANDS[cfg.command]
+    if cfg.format == "csv" and not command.csv:
+        with_csv = sorted(name for name, c in COMMANDS.items() if c.csv)
         raise CLIError(
             f"{cfg.command} has no CSV form; use --format json "
-            f"(CSV is available for: {', '.join(sorted(CSV_COMMANDS))})"
+            f"(CSV is available for: {', '.join(with_csv)})"
         )
-
-    if cfg.command == "gen-walks":
-        # the artifact is the ensemble itself, directly loadable as an input
-        if cfg.seed is None:
-            raise CLIError("gen-walks requires --seed")
-        p = cfg.params
-        ensemble = sample_walks(p["n_steps"], p["n_paths"], p["scale"], cfg.seed)
-        _emit(cfg, dumps_deterministic(ensemble.to_dict()))
-        return EXIT_OK
-
-    results, csv_payload, code = HANDLERS[cfg.command](cfg)
+    results, table, code = command.run(cfg)
     if cfg.format == "csv":
-        header, rows = csv_payload
-        _emit(cfg, csv_text(header, rows))
-        return code
-    report = {
-        "command": cfg.command,
-        "inputs": _input_hashes(cfg),
-        "params": cfg.params,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "results": results,
-        "status_code": code,
-    }
-    _emit(cfg, dumps_deterministic(report))
+        _emit(cfg, csv_text(command.csv, table))
+    elif not command.envelope:
+        _emit(cfg, dumps_deterministic(results))
+    else:
+        report = {
+            "command": cfg.command,
+            "inputs": _input_hashes(cfg),
+            "params": cfg.params,
+            "seed": cfg.seed,
+            "results": results,
+            "status_code": code,
+        }
+        _emit(cfg, dumps_deterministic(report))
     return code
 
 
@@ -605,106 +584,41 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--threads", type=int, default=0,
-                     help="worker threads, 0 = auto (recorded; execution is serial)")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qcompact", description=__doc__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def new(name, **kwargs):
-        sub = subs.add_parser(name, **kwargs)
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
         _add_common(sub)
-        return sub
-
-    s = new("prokhorov-dist", help="scaled Prokhorov distance between two measures")
-    s.add_argument("p"), s.add_argument("q")
-    s.add_argument("--lambda-grid", required=True, dest="lambda_grid")
-
-    s = new("tv-dist", help="total variation distance between two measures")
-    s.add_argument("p"), s.add_argument("q")
-
-    s = new("mu-ut", help="uniform-tightness defect bracket for a family")
-    s.add_argument("measures", nargs="+")
-    s.add_argument("--eps-grid", required=True, dest="eps_grid")
-    s.add_argument("--k-max", required=True, dest="k_max")
-
-    s = new("cover-profile", help="greedy covering/packing profile of a space")
-    s.add_argument("space")
-    s.add_argument("--k-max", required=True, dest="k_max")
-
-    s = new("modulus", help="oscillation of a PL path at window widths")
-    s.add_argument("path")
-    s.add_argument("--delta-grid", required=True, dest="delta_grid")
-
-    s = new("cheby", help="minimal enclosing ball of a point set")
-    s.add_argument("points")
-
-    s = new("jung-check", help="diameter/radius sandwich for a point set")
-    s.add_argument("points")
-
-    s = new("aa-net", help="interpolation net for a bounded equicontinuous family")
-    s.add_argument("family")
-    s.add_argument("--delta", required=True)
-    s.add_argument("--alpha", required=True)
-    s.add_argument("--bound-m", required=True, dest="bound_m")
-    s.add_argument("--eps", required=True)
-    s.add_argument("--list-lattice", action="store_true", dest="list_lattice")
-
-    s = new("verify-qprokh", help="tightness vs covering-radius sandwich for measures")
-    s.add_argument("measures", nargs="+")
-    s.add_argument("--lambda-grid", required=True, dest="lambda_grid")
-    s.add_argument("--eps", required=True)
-    s.add_argument("--mu-eps-grid", dest="mu_eps_grid")
-    s.add_argument("--k-max", dest="k_max")
-
-    s = new("verify-qaa", help="equicontinuity vs covering sandwich for paths")
-    s.add_argument("family")
-    s.add_argument("--delta-grid", required=True, dest="delta_grid")
-    s.add_argument("--bound-m", required=True, dest="bound_m")
-    s.add_argument("--eps", required=True)
-
-    s = new("verify-qsaa", help="stochastic sandwich for path ensembles")
-    s.add_argument("ensembles", nargs="+")
-    s.add_argument("--lambda-grid", required=True, dest="lambda_grid")
-    s.add_argument("--eps-grid", required=True, dest="eps_grid")
-    s.add_argument("--delta-grid", required=True, dest="delta_grid")
-    s.add_argument("--m-grid", required=True, dest="m_grid")
-    s.add_argument("--eps", required=True)
-
-    s = new("gen-walks", help="sample a seeded ensemble of scaled random walks")
-    s.add_argument("--n-steps", required=True, dest="n_steps")
-    s.add_argument("--n-paths", required=True, dest="n_paths")
-    s.add_argument("--scale", required=True)
-
+        for role, is_list in command.inputs:
+            sub.add_argument(role, nargs="+" if is_list else None)
+        for param, (validator, required) in command.params.items():
+            flag = "--" + param.replace("_", "-")
+            if validator is _as_bool:
+                sub.add_argument(flag, action="store_true", dest=param)
+            else:
+                sub.add_argument(flag, required=required, dest=param)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
+    command = COMMANDS[args.command]
     inputs: dict[str, Any] = {}
-    for role, is_list in INPUT_SPECS[command]:
+    for role, is_list in command.inputs:
         value = getattr(args, role)
         inputs[role] = [os.path.abspath(v) for v in value] if is_list else os.path.abspath(value)
-    raw_params = {
-        name: getattr(args, name, None) for name in PARAM_SPECS[command]
-    }
-    if command == "aa-net":
-        raw_params["list_lattice"] = bool(args.list_lattice)
-    seed = args.seed
-    if seed is not None and seed < 0:
+    raw_params = {name: getattr(args, name) for name in command.params}
+    if args.seed is not None and args.seed < 0:
         raise CLIError("seed: must be a nonnegative integer")
-    if args.threads < 0:
-        raise CLIError("threads: must be a nonnegative integer")
     return RunConfig(
-        command=command,
+        command=args.command,
         inputs=inputs,
-        params=_validate_params(command, raw_params),
+        params=_validate_params(args.command, raw_params),
         out=args.out,
         format=args.format,
-        seed=seed,
-        threads=args.threads,
+        seed=args.seed,
     )
 
 
@@ -721,8 +635,6 @@ def main(argv=None) -> int:
                 cfg.out = args.out
             if args.seed is not None:
                 cfg.seed = args.seed
-            if args.threads:
-                cfg.threads = args.threads
             if "--format" in argv or any(a.startswith("--format=") for a in argv):
                 cfg.format = args.format
         else:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ball import BallCertificate, chebyshev_center, jung_ratio
 from .errors import InternalConsistencyError, VerificationError
+from .tolerances import CERT_TOL
 
 __all__ = [
     "PLPath",
@@ -30,9 +31,6 @@ __all__ = [
     "QAAReport",
     "verify_qaa",
 ]
-
-#: slack for hard per-sample certificate assertions
-CERT_TOL = 1e-9
 
 #: explicit lattice listings refuse to enumerate more points than this
 LATTICE_CAP = 10**7
@@ -440,17 +438,18 @@ def verify_qaa(
     eps = float(eps)
     n_dim = family[0].n_dim
 
+    # the family's defect at each grid width: each row's alpha, and the left
+    # side of every row's lower-direction check
+    fam_defects = [mu_uec_family(family, d) for d in delta_grid]
     rows = []
     ok_all = True
-    for delta in delta_grid:
-        alpha = mu_uec_family(family, delta)
+    for delta, alpha in zip(delta_grid, fam_defects):
         net = aa_net(family, delta, alpha, bound_m, eps)
         covering = net.covering_achieved
         bound = net.certified_bound
         upper_ok = covering <= bound + CERT_TOL
         lower_rows = []
-        for dp in delta_grid:
-            fam_def = mu_uec_family(family, dp)
+        for dp, fam_def in zip(delta_grid, fam_defects):
             net_def = mu_uec_family(net.members, dp)
             rhs = 2.0 * covering + net_def
             ok = fam_def <= rhs + CERT_TOL

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import InternalConsistencyError, VerificationError
 from .maxflow import transport_flow
 from .metric import FiniteMetricSpace, IndexSet, inflate, open_ball
+from .tolerances import FLOW_TOL, MASS_SUM_TOL
 
 __all__ = [
     "DiscreteMeasure",
@@ -49,10 +50,6 @@ __all__ = [
     "verify_qprokh",
 ]
 
-#: construction rejects mass vectors whose total deviates from 1 by more
-MASS_SUM_TOL = 1e-9
-#: internal residual budget for flow/certificate arithmetic
-FLOW_TOL = 1e-9
 #: largest net the construction will materialize in full
 NET_SIZE_CAP = 10**6
 
@@ -168,8 +165,7 @@ class CouplingCertificate:
             raise InternalConsistencyError("flow plus slack does not add to 1")
         if self.slack_mass > self.alpha + tol:
             raise InternalConsistencyError("slack mass exceeds alpha")
-        d = space.dist[np.ix_(sp, sq)]
-        beyond = (d > self.lam * self.alpha) & (d / self.lam > self.alpha)
+        beyond = ~_close(space.dist[np.ix_(sp, sq)], self.lam, self.alpha)
         if (self.flow[beyond] > tol).any():
             raise InternalConsistencyError("positive flow on a pair beyond lam*alpha")
 
@@ -202,21 +198,25 @@ class ViolationCertificate:
             raise InternalConsistencyError("claimed violating set does not violate")
 
 
+def _close(d, lam: float, alpha: float):
+    """Which distances ``d`` are within ``lam * alpha``, boundary-robust.
+
+    Same as ``d <= lam * alpha`` in exact arithmetic; a pair is also accepted
+    when ``d / lam <= alpha``, so that answers produced by the breakpoint
+    sweep (which works in units of d/lam) land on the feasible side of their
+    own boundary and recheck consistently.
+    """
+    return (d <= lam * alpha) | (d / lam <= alpha)
+
+
 def _closed_neighborhood(
     space: FiniteMetricSpace, subset: IndexSet, lam: float, alpha: float
 ) -> IndexSet:
-    """Closed lam*alpha-inflation of ``subset``, boundary-robust.
-
-    Same set as ``inflate(space, subset, lam * alpha)`` in exact arithmetic;
-    here a pair is also accepted when ``d / lam <= alpha`` so that answers
-    produced by the breakpoint sweep (which works in units of d/lam) land on
-    the feasible side of their own boundary.
-    """
+    """Closed lam*alpha-inflation of ``subset`` under the ``_close`` test."""
     idx = subset.to_array()
     if idx.size == 0:
         return IndexSet()
-    d = space.dist[idx]
-    hit = ((d <= lam * alpha) | (d / lam <= alpha)).any(axis=0)
+    hit = _close(space.dist[idx], lam, alpha).any(axis=0)
     return IndexSet(tuple(np.nonzero(hit)[0].tolist()))
 
 
@@ -237,18 +237,16 @@ def check_alpha(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float, alpha: float
         raise ValueError("alpha must be >= 0")
     sp = P.support
     sq = Q.support
-    d = space.dist[np.ix_(sp, sq)]
-    # closed condition d <= lam*alpha, accepted under either rounding of the
-    # boundary so the answer of the breakpoint sweep (which works in units of
-    # d/lam) rechecks consistently
-    allowed = (d <= lam * alpha) | (d / lam <= alpha)
+    allowed = _close(space.dist[np.ix_(sp, sq)], lam, alpha)
     flow, value, reach_p = transport_flow(P.mass[sp], Q.mass[sq], allowed)
 
     # min-cut set: P-atoms still reachable from the source
     cut_set = IndexSet(tuple(sp[reach_p].tolist()))
     p_mass = P.prob(cut_set)
     q_infl = Q.prob(_closed_neighborhood(space, cut_set, lam, alpha))
-    if p_mass - q_infl - alpha > 1e-15:
+    # a gap within the flow budget is rounding: the coupling's slack then
+    # exceeds alpha by at most FLOW_TOL, which its validate() accepts
+    if p_mass - q_infl - alpha > FLOW_TOL:
         return ViolationCertificate(
             lam=lam, alpha=alpha, subset=cut_set, p_mass=p_mass, q_inflated_mass=q_infl
         )

@@ -23,7 +23,6 @@ __all__ = [
     "to_jsonable",
     "dumps_deterministic",
     "write_atomic",
-    "write_csv_atomic",
     "csv_text",
     "sha256_file",
 ]
@@ -118,7 +117,13 @@ def write_atomic(path: str, text: str) -> None:
     """Write text to path with no partial-file window (write then rename).
 
     The file gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not the 0o600 of the temporary file."""
+    umask), not the 0o600 of the temporary file.  An existing target that is
+    not a regular file (``/dev/null``, a FIFO, a terminal) is written in
+    place, never replaced."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="\n") as handle:
+            handle.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     umask = os.umask(0)
@@ -145,10 +150,6 @@ def _csv_cell(value: Any) -> str:
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
-
-
-def write_csv_atomic(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    write_atomic(path, csv_text(header, rows))
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

@@ -23,6 +23,7 @@ from .errors import InternalConsistencyError
 from .metric import FiniteMetricSpace
 from .paths import AANet, PLPath, aa_net, modulus, uniform_distance
 from .prokhorov import DiscreteMeasure, prokhorov_distance
+from .tolerances import CERT_TOL
 
 __all__ = [
     "PathEnsemble",
@@ -36,8 +37,6 @@ __all__ = [
     "QSAAReport",
     "verify_qsaa",
 ]
-
-CERT_TOL = 1e-9
 
 
 class PathEnsemble:

@@ -1,0 +1,28 @@
+"""Numerical tolerances, in one place.
+
+Each value is a rounding budget for one kind of check, not a modelling
+parameter:
+
+- ``MASS_SUM_TOL``: a mass vector whose total is further than this from 1 is
+  rejected when a ``DiscreteMeasure`` is built (it is then renormalized).
+- ``FLOW_TOL``: residual budget of the max-flow arithmetic.  A coupling
+  certificate is rechecked against it (row and column sums, flow plus slack,
+  slack against alpha, flow on pairs beyond ``lam * alpha``);
+  ``check_alpha`` accepts a min-cut gap up to it; ``verify_qprokh`` compares
+  covering radii with it.
+- ``CERT_TOL``: slack of the hard assertions on path nets: the per-sample
+  approximation bound of ``aa_net`` and the sandwich rows of ``verify_qaa``
+  and ``verify_qsaa``.
+- ``HULL_TOL``: a Chebyshev ball must contain every point up to this
+  distance, and its convex-hull certificate may leave this residual (times
+  ``max(1, radius)``).
+- ``ORACLE_TOL``: largest disagreement the CLI accepts between the breakpoint
+  sweep and the subset-enumeration oracle on small spaces (the oracle
+  bisects to 1e-10).
+"""
+
+MASS_SUM_TOL = 1e-9
+FLOW_TOL = 1e-9
+CERT_TOL = 1e-9
+HULL_TOL = 1e-9
+ORACLE_TOL = 1e-9

@@ -98,7 +98,10 @@ def meb_by_subsets(points) -> tuple[np.ndarray, float]:
             radius = float(np.sqrt(((pts[list(combo)] - center) ** 2).sum(axis=1).max()))
             if radius >= best_r:
                 continue
-            if (((pts - center) ** 2).sum(axis=1) <= radius * radius * (1 + 1e-11) + 1e-13).all():
+            # slack scales with the radius: an absolute one would let a
+            # zero-radius ball "contain" a point 1e-7 away
+            slack = radius * radius * 1e-11 + radius * 1e-13
+            if (((pts - center) ** 2).sum(axis=1) <= radius * radius + slack).all():
                 best_r = radius
                 best_c = center
     return best_c, best_r

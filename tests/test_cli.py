@@ -76,7 +76,7 @@ class TestHappyPaths:
         assert rows[0]["certificate_kind"] == "coupling"
         assert rows[0]["oracle_checked"] is True
         assert set(env) == {
-            "command", "inputs", "params", "seed", "threads",
+            "command", "inputs", "params", "seed",
             "results", "status_code",
         }
         for item in env["inputs"].values():
@@ -349,6 +349,18 @@ class TestConfigMode:
         rc = main(["--config", cfg])
         assert rc == 1
         assert "notes" in capsys.readouterr().err
+
+    def test_threads_is_rejected(self, files, tmp_path, capsys):
+        rc = main(["tv-dist", files["p"], files["q"], "--threads", "2"])
+        assert rc == 1
+        assert "--threads" in capsys.readouterr().err
+        cfg = write_json(
+            files["dir"] / "threads_cfg.json",
+            {"command": "tv-dist", "inputs": {"p": "p.json", "q": "q.json"},
+             "params": {}, "threads": 0},
+        )
+        assert main(["--config", cfg]) == 1
+        assert "threads" in capsys.readouterr().err
 
     def test_config_inputs_resolve_relative_to_config(self, files, tmp_path):
         sub = tmp_path / "elsewhere"

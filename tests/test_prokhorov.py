@@ -210,6 +210,17 @@ class TestProkhorovDistance:
             tv_distance(P, Q), abs=1e-6
         )
 
+    def test_float_masses_recheck_their_own_answer(self):
+        """Plain float masses leave a min-cut gap of about 1e-15 at the
+        sweep's answer; that rounding must not fail the recheck."""
+        rng = np.random.default_rng([13, 1])
+        space = FiniteMetricSpace(coords=rng.random((400, 2)), validate_triangle=False)
+        raw = [rng.dirichlet(np.ones(400)) for _ in range(2)]
+        P, Q = (DiscreteMeasure(space, m / m.sum()) for m in raw)
+        res = prokhorov_distance(P, Q, 0.5)
+        res.certificate.validate(P, Q)
+        assert check_alpha(P, Q, 0.5, res.alpha_star).feasible
+
     def test_coincident_points_move_mass_freely(self):
         # distance zero between atoms: closed inflation at radius 0 merges
         # them, so disjoint supports on coincident points cost nothing
