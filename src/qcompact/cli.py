@@ -159,7 +159,7 @@ def load_config_file(path: str) -> RunConfig:
         raise CLIError(f"{path}: config must be a JSON object")
     _reject_unknown(obj, {"command", "inputs", "params", "out", "format", "seed"}, path)
     command = obj.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise CLIError(f"{path}: unknown command {command!r}")
     fmt = obj.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -167,6 +167,9 @@ def load_config_file(path: str) -> RunConfig:
     seed = obj.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise CLIError(f"{path}: seed must be a nonnegative integer")
+    out = obj.get("out")
+    if out is not None and not isinstance(out, str):
+        raise CLIError(f"{path}: out must be a path string")
     base = os.path.dirname(os.path.abspath(path))
     inputs = _validate_inputs(command, obj.get("inputs", {}))
     resolved = {
@@ -181,7 +184,7 @@ def load_config_file(path: str) -> RunConfig:
         command=command,
         inputs=resolved,
         params=_validate_params(command, obj.get("params", {})),
-        out=obj.get("out"),
+        out=out,
         format=fmt,
         seed=seed,
     )
@@ -538,10 +541,13 @@ COMMANDS: dict[str, Command] = {
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        write_atomic(cfg.out, text)
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
+        return
+    try:
+        write_atomic(cfg.out, text)
+    except OSError as exc:
+        raise CLIError(f"{cfg.out}: cannot write: {exc.strerror or exc}")
 
 
 def run(cfg: RunConfig) -> int:

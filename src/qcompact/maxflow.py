@@ -1,108 +1,105 @@
-"""Maximum flow on small dense bipartite transport networks.
+"""Maximum flow on the bipartite transport network of two discrete measures.
 
-Capacities are floats (probability masses), so we roll our own Dinic solver
-instead of reaching for integer-capacity library routines: quantizing masses
-to integers would cost more accuracy than the certificates tolerate, and the
-graphs here are tiny (a few hundred nodes).
+The network always has one shape (Garel & Massé, *AStA* 93, 2009): the source
+feeds P-atom ``i`` with capacity ``p_mass[i]``, Q-atom ``j`` drains into the
+sink with capacity ``q_mass[j]``, and an allowed pair ``(i, j)`` is an edge of
+unlimited capacity.  The residual graph is thus fully described by the source
+residuals ``rp``, the sink residuals ``rq`` and the pair flows ``flow[i][j]``
+(a pair edge always has room forward and ``flow[i][j]`` back).
+
+The solver is Dinic's algorithm with an iterative depth-first walk, so long
+augmenting paths need no recursion in spaces of a few thousand atoms.  It is
+hand-written because ``scipy.sparse.csgraph.maximum_flow`` takes 32-bit
+integer capacities, which cannot hold a float mass's 53 bits exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: residual capacities at or below this are treated as saturated
-_RESIDUAL_EPS = 1e-15
+from .tolerances import RESIDUAL_EPS
 
 
 def transport_flow(p_mass, q_mass, allowed):
     """Maximum mass shippable from P-atoms to Q-atoms along allowed pairs.
 
-    p_mass, q_mass: 1-d arrays of source/sink capacities.
-    allowed: boolean matrix, True where the pair (i, j) may carry flow.
-
-    Returns ``(flow, value, reach_p)`` where ``flow`` is the (|P|, |Q|) flow
-    matrix, ``value`` the total flow, and ``reach_p`` the boolean mask of
-    P-atoms on the source side of a minimum cut (reachable in the final
-    residual graph).
+    ``allowed[i, j]`` is True where the pair (i, j) may carry flow.  Returns
+    ``(flow, value, reach_p)``: the (|P|, |Q|) flow matrix, the total flow,
+    and the mask of P-atoms on the source side of a minimum cut (reachable
+    in the final residual graph).
     """
-    p_mass = np.asarray(p_mass, dtype=float)
-    q_mass = np.asarray(q_mass, dtype=float)
-    p, q = p_mass.size, q_mass.size
-    n = p + q + 2
-    src, snk = 0, n - 1
-
-    to: list[int] = []
-    cap: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add(u, v, c):
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0.0)
-
-    for i in range(p):
-        add(src, 1 + i, float(p_mass[i]))
-    for j in range(q):
-        add(1 + p + j, snk, float(q_mass[j]))
-    ii, jj = np.nonzero(allowed)
-    mid_edges = []
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        mid_edges.append((i, j, len(to)))
-        add(1 + i, 1 + p + j, 2.0)  # anything > total mass acts as infinity
-
+    rp = np.asarray(p_mass, dtype=float).tolist()
+    rq = np.asarray(q_mass, dtype=float).tolist()
+    p, q = len(rp), len(rq)
+    allowed = np.asarray(allowed, dtype=bool)
+    q_of = [np.flatnonzero(row).tolist() for row in allowed]
+    p_of = [np.flatnonzero(col).tolist() for col in allowed.T]
+    flow = [[0.0] * q for _ in range(p)]
     total = 0.0
-    inf = float("inf")
     while True:
-        level = [-1] * n
-        level[src] = 0
-        queue = [src]
-        for u in queue:
-            for e in adj[u]:
-                v = to[e]
-                if cap[e] > _RESIDUAL_EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[snk] < 0:
-            break
-        it = [0] * n
-
-        def dfs(u, f):
-            if u == snk:
-                return f
-            while it[u] < len(adj[u]):
-                e = adj[u][it[u]]
-                v = to[e]
-                if cap[e] > _RESIDUAL_EPS and level[v] == level[u] + 1:
-                    pushed = dfs(v, min(f, cap[e]))
-                    if pushed > 0.0:
-                        cap[e] -= pushed
-                        cap[e ^ 1] += pushed
-                        return pushed
-                it[u] += 1
-            level[u] = -1
-            return 0.0
-
-        while True:
-            pushed = dfs(src, inf)
-            if pushed <= 0.0:
+        # Level search in layers P, Q, P, ...; atoms at or past the sink's
+        # level are dead ends, so it stops at the sink.  The search that misses
+        # the sink is the last: the P-atoms it reaches are a minimum cut.
+        level_p = [1 if r > RESIDUAL_EPS else -1 for r in rp]
+        level_q = [-1] * q
+        layer = [i for i in range(p) if level_p[i] == 1]
+        depth, sink = 1, -1
+        while layer:
+            q_layer = {j for i in layer for j in q_of[i] if level_q[j] < 0}
+            for j in q_layer:
+                level_q[j] = depth + 1
+            if any(rq[j] > RESIDUAL_EPS for j in q_layer):
+                sink = depth + 2
                 break
-            total += pushed
+            layer = {i for j in q_layer for i in p_of[j]
+                     if level_p[i] < 0 and flow[i][j] > RESIDUAL_EPS}
+            for i in layer:
+                level_p[i] = depth + 2
+            depth += 2
+        if sink < 0:
+            break
 
-    flow = np.zeros((p, q))
-    for i, j, e in mid_edges:
-        flow[i, j] = cap[e ^ 1]
+        # Blocking flow.  ``path`` alternates P- and Q-atoms, ``path[k]`` at
+        # level k + 1.  A cursor stays on an edge that pushed; a dead end is
+        # pruned to level -1.  A Q-atom's cursor -1 is its sink edge.
+        next_src, it_p, it_q, path = 0, [0] * p, [-1] * q, []
+        while True:
+            k = len(path)
+            if k == 0:
+                while next_src < p and (level_p[next_src] != 1
+                                        or rp[next_src] <= RESIDUAL_EPS):
+                    next_src += 1
+                if next_src == p:
+                    break
+                path.append(next_src)
+                continue
+            u = path[-1]
+            if k % 2 == 0 and it_q[u] < 0 and k + 1 == sink and rq[u] > RESIDUAL_EPS:
+                back = [flow[i][j] for j, i in zip(path[1::2], path[2::2])]
+                f = min([rp[path[0]], *back, rq[u]])  # the bottleneck
+                rp[path[0]] -= f
+                for i, j in zip(path[::2], path[1::2]):
+                    flow[i][j] += f
+                for j, i in zip(path[1::2], path[2::2]):
+                    flow[i][j] -= f
+                rq[u] -= f
+                total += f
+                path = []
+                continue
+            # a P-atom's pair edges lead forward and never saturate; a
+            # Q-atom's lead back to P-atoms and carry their flow
+            fwd = k % 2
+            it, nbrs, nxt = (it_p, q_of[u], level_q) if fwd else (it_q, p_of[u], level_p)
+            t = max(it[u], 0)
+            while t < len(nbrs) and not (
+                nxt[nbrs[t]] == k + 1 and (fwd or flow[nbrs[t]][u] > RESIDUAL_EPS)
+            ):
+                t += 1
+            it[u] = t
+            if t < len(nbrs):
+                path.append(nbrs[t])
+            else:
+                (level_p if fwd else level_q)[u] = -1
+                path.pop()
 
-    seen = [False] * n
-    seen[src] = True
-    queue = [src]
-    for u in queue:
-        for e in adj[u]:
-            v = to[e]
-            if cap[e] > _RESIDUAL_EPS and not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    reach_p = np.array([seen[1 + i] for i in range(p)], dtype=bool)
-    return flow, total, reach_p
+    return np.array(flow, dtype=float).reshape(p, q), total, np.array(level_p) >= 0

@@ -16,6 +16,11 @@ parameter:
 - ``HULL_TOL``: a Chebyshev ball must contain every point up to this
   distance, and its convex-hull certificate may leave this residual (times
   ``max(1, radius)``).
+- ``RESIDUAL_EPS``: the max-flow solver treats a residual capacity at or
+  below this as saturated, so that it never augments along rounding residue.
+  The flow it returns then falls short of the capacity of the cut it returns
+  by at most this value times the number of edges that cut crosses (at most
+  |P| + |Q| + |P||Q|), which stays below ``FLOW_TOL`` up to 10^6 edges.
 - ``ORACLE_TOL``: largest disagreement the CLI accepts between the breakpoint
   sweep and the subset-enumeration oracle on small spaces (the oracle
   bisects to 1e-10).
@@ -26,3 +31,4 @@ FLOW_TOL = 1e-9
 CERT_TOL = 1e-9
 HULL_TOL = 1e-9
 ORACLE_TOL = 1e-9
+RESIDUAL_EPS = 1e-15

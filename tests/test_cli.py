@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -291,6 +292,18 @@ class TestInputErrors:
         assert rc == 1
         assert "label" in capsys.readouterr().err
 
+    def test_out_naming_a_directory(self, files, tmp_path, capsys):
+        target = tmp_path / "reports"
+        target.mkdir()
+        rc = main(["tv-dist", files["p"], files["q"], "--out", str(target)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {target}: cannot write: Is a directory\n"
+        assert target.is_dir() and not any(target.iterdir())
+
+    def test_out_to_the_null_device_writes_in_place(self, files):
+        assert main(["tv-dist", files["p"], files["q"], "--out", os.devnull]) == 0
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
 
 class TestExitThree:
     def test_starved_verify_qprokh_is_inconclusive(self, tmp_path):
@@ -350,6 +363,16 @@ class TestConfigMode:
         assert rc == 1
         assert "notes" in capsys.readouterr().err
 
+    def test_config_fields_of_the_wrong_type(self, files, capsys):
+        base = {"command": "tv-dist", "inputs": {"p": "p.json", "q": "q.json"}, "params": {}}
+        for field, value, message in [
+            ("command", ["tv-dist"], "unknown command ['tv-dist']"),
+            ("out", 5, "out must be a path string"),
+        ]:
+            cfg = write_json(files["dir"] / "typed_cfg.json", {**base, field: value})
+            assert main(["--config", cfg]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
     def test_threads_is_rejected(self, files, tmp_path, capsys):
         rc = main(["tv-dist", files["p"], files["q"], "--threads", "2"])
         assert rc == 1
@@ -366,8 +389,6 @@ class TestConfigMode:
         sub = tmp_path / "elsewhere"
         sub.mkdir()
         cfg = self.make_config(files, tmp_path, out_name="rel.json")
-        import os
-
         old = os.getcwd()
         os.chdir(sub)
         try:

@@ -76,6 +76,7 @@ CASES = {
     "error-missing-flag": (["prokhorov-dist", "p.json", "q.json"], 1),
     "error-unknown-command": (["frobnicate", "p.json"], 1),
     "error-unknown-config-key": (["--config", "bad_config.json"], 1),
+    "error-config-command-not-a-string": (["--config", "bad_command_config.json"], 1),
     "error-unsorted-grid": (["modulus", "path.json", "--delta-grid", "0.5,0.1"], 1),
     "error-gen-walks-no-seed": (
         ["gen-walks", "--n-steps", "8", "--n-paths", "5", "--scale", "1.0"], 1

@@ -1,0 +1,58 @@
+"""transport_flow against an exact integer max-flow and the min-cut identity."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
+
+from qcompact.maxflow import transport_flow
+from qcompact.tolerances import FLOW_TOL
+
+
+@st.composite
+def networks(draw, mass):
+    """(p_mass, q_mass, allowed) with masses drawn by ``mass``."""
+    p, q = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    allowed = draw(st.lists(st.booleans(), min_size=p * q, max_size=p * q))
+    p_mass = draw(st.lists(mass, min_size=p, max_size=p))
+    q_mass = draw(st.lists(mass, min_size=q, max_size=q))
+    return p_mass, q_mass, np.array(allowed, dtype=bool).reshape(p, q)
+
+
+def exact_integer_flow(p_cap, q_cap, allowed):
+    """scipy's integer max-flow on source, P-atoms, Q-atoms, sink."""
+    p, q = allowed.shape
+    n = p + q + 2
+    cap = np.zeros((n, n), dtype=np.int32)
+    cap[0, 1 : p + 1] = p_cap
+    cap[p + 1 : n - 1, n - 1] = q_cap
+    cap[1 : p + 1, p + 1 : n - 1] = np.where(allowed, sum(p_cap) + 1, 0)
+    return maximum_flow(csr_array(cap), 0, n - 1).flow_value
+
+
+@given(st.integers(1, 64).flatmap(
+    lambda D: st.tuples(st.just(D), networks(st.integers(0, D)))
+))
+@settings(max_examples=300)
+def test_value_matches_exact_integer_flow(case):
+    """Masses that are multiples of 1/D: scaling by D gives an exact oracle."""
+    D, (p_cap, q_cap, allowed) = case
+    _, value, _ = transport_flow(np.array(p_cap) / D, np.array(q_cap) / D, allowed)
+    assert abs(value - exact_integer_flow(p_cap, q_cap, allowed) / D) <= FLOW_TOL
+
+
+@given(networks(st.floats(0.0, 1.0)))
+@settings(max_examples=300)
+def test_float_flow_is_feasible_and_meets_its_cut(net):
+    p_mass, q_mass, allowed = net
+    p_mass, q_mass = np.array(p_mass, dtype=float), np.array(q_mass, dtype=float)
+    flow, value, reach_p = transport_flow(p_mass, q_mass, allowed)
+    assert flow.shape == allowed.shape
+    assert (flow >= 0.0).all()
+    assert (flow[~allowed] == 0.0).all()
+    assert (flow.sum(axis=1) <= p_mass + FLOW_TOL).all()
+    assert (flow.sum(axis=0) <= q_mass + FLOW_TOL).all()
+    cut = p_mass[~reach_p].sum() + q_mass[allowed[reach_p].any(axis=0)].sum()
+    assert abs(value - cut) <= FLOW_TOL
+    assert abs(value - flow.sum()) <= FLOW_TOL

@@ -221,6 +221,19 @@ class TestProkhorovDistance:
         res.certificate.validate(P, Q)
         assert check_alpha(P, Q, 0.5, res.alpha_star).feasible
 
+    def test_long_augmenting_path_needs_no_recursion(self):
+        """P on the even points 2i of a line, listed from the right, and Q on
+        the odd points 2i + 1: the greedy first phase matches each P-atom to
+        its left neighbour, and the last augmenting path then runs through
+        all 1202 atoms."""
+        m = 601
+        coords = np.concatenate([2.0 * np.arange(m)[::-1], 2.0 * np.arange(m) + 1.0])
+        space = FiniteMetricSpace(coords=coords[:, None], validate_triangle=False)
+        P = DiscreteMeasure(space, np.r_[np.full(m, 1.0 / m), np.zeros(m)])
+        Q = DiscreteMeasure(space, np.r_[np.zeros(m), np.full(m, 1.0 / m)])
+        assert isinstance(check_alpha(P, Q, 1.0, 1.0), CouplingCertificate)
+        assert prokhorov_distance(P, Q, 1.0).alpha_star == 1.0
+
     def test_coincident_points_move_mass_freely(self):
         # distance zero between atoms: closed inflation at radius 0 merges
         # them, so disjoint supports on coincident points cost nothing
