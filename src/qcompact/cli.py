@@ -170,6 +170,9 @@ def load_config_file(path: str) -> RunConfig:
     out = obj.get("out")
     if out is not None and not isinstance(out, str):
         raise CLIError(f"{path}: out must be a path string")
+    for key in ("inputs", "params"):
+        if not isinstance(obj.get(key, {}), dict):
+            raise CLIError(f"{path}: {key} must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
     inputs = _validate_inputs(command, obj.get("inputs", {}))
     resolved = {
@@ -231,12 +234,18 @@ def _load_measure(path: str, space_cache: dict) -> DiscreteMeasure:
             space_cache[ref] = _load_space(ref)
         space = space_cache[ref]
     else:
-        space = _parse(FiniteMetricSpace.from_dict, spec, f"{path}: space")
+        # an inline space is keyed on its canonical JSON, which no file path
+        # (always absolute here) can equal
+        key = json.dumps(spec, sort_keys=True)
+        if key not in space_cache:
+            space_cache[key] = _parse(FiniteMetricSpace.from_dict, spec, f"{path}: space")
+        space = space_cache[key]
     return _parse(lambda mass: DiscreteMeasure(space, mass), obj["mass"], path)
 
 
 def _load_measures(paths: list[str]) -> list[DiscreteMeasure]:
-    """Measures on one common space; a space file they share is read once."""
+    """Measures on one common space; a space file they share is read once, and
+    identical inline spaces are built once."""
     cache: dict = {}
     measures = [_load_measure(p, cache) for p in paths]
     for m, p in zip(measures[1:], paths[1:]):

@@ -24,6 +24,14 @@ parameter:
 - ``ORACLE_TOL``: largest disagreement the CLI accepts between the breakpoint
   sweep and the subset-enumeration oracle on small spaces (the oracle
   bisects to 1e-10).
+- ``COORD_MATCH_RTOL``: a distance matrix given together with Euclidean
+  coordinates must agree with the distances recomputed from them up to this
+  times ``max(1, largest recomputed distance)``: room for the rounding of a
+  differently ordered sum of squares and square root, not for another metric.
+- ``TRIANGLE_SLACK``: a space is accepted when
+  ``d(i,j) <= d(i,k) + d(k,j) + TRIANGLE_SLACK * max(1, diameter)`` for
+  every triple, so that matrices that were themselves computed in floating
+  point pass despite their rounding.
 """
 
 MASS_SUM_TOL = 1e-9
@@ -32,3 +40,5 @@ CERT_TOL = 1e-9
 HULL_TOL = 1e-9
 ORACLE_TOL = 1e-9
 RESIDUAL_EPS = 1e-15
+COORD_MATCH_RTOL = 1e-12
+TRIANGLE_SLACK = 1e-9

@@ -174,3 +174,15 @@ def meb_welzl_recursive(points) -> tuple[np.ndarray, float]:
 
     center, r2 = welzl(0, [])
     return center, float(np.sqrt(max(r2, 0.0)))
+
+
+def triangle_holds_per_k(dist, tol: float) -> bool:
+    """The triangle scan as one loop over the middle point: for each k, the
+    full n x n matrix of sums d[i,k] + d[k,j] is built and every pair is tested
+    against it, ``d[i,j] > fl(d[i,k] + d[k,j]) + tol`` rejecting."""
+    d = np.asarray(dist, dtype=float)
+    for k in range(d.shape[0]):
+        bound = d[:, k:k + 1] + d[k:k + 1, :]
+        if (d > bound + tol).any():
+            return False
+    return True

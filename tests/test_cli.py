@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qcompact.cli import main
+from qcompact.cli import _load_measures, main
 
 
 def write_json(path, obj):
@@ -305,6 +305,42 @@ class TestInputErrors:
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
+class TestInlineSpaces:
+    """Measures that carry their space inline share one built space when the
+    copies are identical JSON."""
+
+    SPACE = {"dist": [[0.0, 1.0], [1.0, 0.0]], "coords": [[0.0], [1.0]]}
+
+    def test_identical_inline_spaces_are_built_once(self, tmp_path):
+        p = write_json(tmp_path / "p.json", {"space": self.SPACE, "mass": [0.5, 0.5]})
+        # same space, keys in the other order
+        reordered = {"coords": self.SPACE["coords"], "dist": self.SPACE["dist"]}
+        q = write_json(tmp_path / "q.json", {"space": reordered, "mass": [1.0, 0.0]})
+        first, second = _load_measures([p, q])
+        assert first.space is second.space
+
+    def test_different_inline_spaces_still_differ(self, tmp_path, capsys):
+        p = write_json(
+            tmp_path / "p.json", {"space": {"coords": [[0.0], [1.0]]}, "mass": [0.5, 0.5]}
+        )
+        q = write_json(
+            tmp_path / "q.json", {"space": {"coords": [[0.0], [2.0]]}, "mass": [1.0, 0.0]}
+        )
+        rc = main(["tv-dist", p, q, "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {q}: space differs from {p}\n"
+
+    def test_space_file_and_identical_inline_copy_load_together(self, files, tmp_path):
+        inline = write_json(
+            tmp_path / "inline.json", {"space": {"coords": [[0.0], [1.0]]}, "mass": [1.0, 0.0]}
+        )
+        first, second = _load_measures([files["p"], inline])
+        assert first.space is not second.space and first.space.same_as(second.space)
+        rc, payload = run_json(["tv-dist", files["p"], inline], tmp_path / "o.json")
+        assert rc == 0
+        assert payload["results"]["tv"] == pytest.approx(0.5)
+
+
 class TestExitThree:
     def test_starved_verify_qprokh_is_inconclusive(self, tmp_path):
         space = write_json(tmp_path / "s.json", {"coords": [[0.0], [1.0]]})
@@ -368,6 +404,10 @@ class TestConfigMode:
         for field, value, message in [
             ("command", ["tv-dist"], "unknown command ['tv-dist']"),
             ("out", 5, "out must be a path string"),
+            ("inputs", None, "inputs must be a JSON object"),
+            ("inputs", "p.json", "inputs must be a JSON object"),
+            ("params", [], "params must be a JSON object"),
+            ("params", 5, "params must be a JSON object"),
         ]:
             cfg = write_json(files["dir"] / "typed_cfg.json", {**base, field: value})
             assert main(["--config", cfg]) == 1

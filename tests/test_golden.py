@@ -77,6 +77,8 @@ CASES = {
     "error-unknown-command": (["frobnicate", "p.json"], 1),
     "error-unknown-config-key": (["--config", "bad_config.json"], 1),
     "error-config-command-not-a-string": (["--config", "bad_command_config.json"], 1),
+    "error-config-inputs-null": (["--config", "null_inputs_config.json"], 1),
+    "error-config-params-list": (["--config", "list_params_config.json"], 1),
     "error-unsorted-grid": (["modulus", "path.json", "--delta-grid", "0.5,0.1"], 1),
     "error-gen-walks-no-seed": (
         ["gen-walks", "--n-steps", "8", "--n-paths", "5", "--scale", "1.0"], 1

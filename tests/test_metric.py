@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import triangle_holds_per_k
 from qcompact import FiniteMetricSpace, IndexSet, inflate, open_ball
+from qcompact.metric import TRIANGLE_BLOCK
+from qcompact.tolerances import TRIANGLE_SLACK
 
 
 def line_space(n=3):
@@ -61,6 +66,116 @@ class TestFiniteMetricSpace:
         sp = line_space(4)
         again = FiniteMetricSpace.from_dict(sp.to_dict())
         assert sp.same_as(again)
+
+
+def random_matrix(kind: str, n: int, rng) -> np.ndarray:
+    """An exactly symmetric, zero-diagonal, nonnegative n x n matrix."""
+    if kind == "random":
+        # entries in [lo, 1): every triangle holds once lo >= 0.5
+        d = rng.uniform(rng.uniform(0.0, 0.6), 1.0, (n, n))
+    else:
+        x = rng.random((n, int(rng.integers(1, 4))))
+        diff = np.abs(x[:, None, :] - x[None, :, :])
+        d = diff.sum(axis=2) if kind == "l1" else np.sqrt((diff * diff).sum(axis=2))
+    d = np.triu(d, 1)
+    return d + d.T
+
+
+def push_to_the_edge(d: np.ndarray, rng, ulps: int) -> None:
+    """Set one pair to ``ulps`` steps from ``min_k fl(d[i,k] + d[k,j]) + tol``,
+    the point where the scan's verdict flips."""
+    n = d.shape[0]
+    i, j = rng.choice(n, 2, replace=False)
+    via = np.delete(d[i] + d[:, j], [i, j])
+    value = via.min() + TRIANGLE_SLACK * max(1.0, float(d.max()))
+    value = value + ulps * np.spacing(value)
+    d[i, j] = d[j, i] = value
+
+
+def triangle_verdict(d: np.ndarray):
+    """None when the space builds, else the (i, j, k) its rejection names."""
+    try:
+        FiniteMetricSpace(d)
+    except ValueError as exc:
+        named = re.findall(r"d\((\d+),(\d+)\)", str(exc))
+        (i, j), (i2, k), (k2, j2) = [tuple(map(int, pair)) for pair in named]
+        assert (i2, k2, j2) == (i, k, j)
+        return i, j, k
+    return None
+
+
+class TestTriangleScan:
+    B = TRIANGLE_BLOCK
+
+    @settings(max_examples=150)
+    @given(
+        kind=st.sampled_from(["euclidean", "random", "l1"]),
+        # 1, 2, 3, 63, 64, 65, 129 at 64-row blocks
+        n=st.sampled_from([1, 2, 3, B - 1, B, B + 1, 2 * B + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        ulps=st.one_of(st.none(), st.integers(-2, 2)),
+    )
+    def test_verdict_matches_per_k_oracle(self, kind, n, seed, ulps):
+        rng = np.random.default_rng(seed)
+        d = random_matrix(kind, n, rng)
+        if ulps is not None and n >= 3:
+            push_to_the_edge(d, rng, ulps)
+        tol = TRIANGLE_SLACK * max(1.0, float(d.max()))
+        witness = triangle_verdict(d)
+        assert (witness is None) == triangle_holds_per_k(d, tol)
+        if witness is not None:
+            i, j, k = witness
+            assert d[i, j] > (d[i, k] + d[k, j]) + tol
+
+    def test_violation_across_the_last_block_edge(self):
+        n = 2 * TRIANGLE_BLOCK + 1
+        d = np.abs(np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float)))
+        d[n - 1, n - 2] = d[n - 2, n - 1] = 5.0
+        # the only violating pair, in rows of two different blocks
+        assert triangle_verdict(d) == (n - 2, n - 1, n - 3)
+
+    @pytest.mark.parametrize(
+        "hub, i, j", [(5, 100, 120), (70, 3, 128), (128, 0, 64), (64, 63, 65)]
+    )
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_one_violation_through_a_hub_in_another_block(self, hub, i, j, ulps):
+        # every pair at 0.5 except through the hub (0.25): (i, j) can only
+        # break the inequality through the hub, whatever block it lies in
+        n = 2 * TRIANGLE_BLOCK + 1
+        d = np.full((n, n), 0.5)
+        d[hub, :] = d[:, hub] = 0.25
+        edge = 0.5 + TRIANGLE_SLACK
+        d[i, j] = d[j, i] = edge + ulps * np.spacing(edge)
+        np.fill_diagonal(d, 0.0)
+        assert triangle_verdict(d) == ((i, j, hub) if ulps > 0 else None)
+
+    def test_witness_is_a_violating_pair_not_the_widest_gap(self):
+        # pair (0, 1) breaks the inequality through point 2 by one ulp; pair
+        # (3, 4) sits on the edge through point 5, where fl(c + tol) rounds
+        # up by more than (0, 1)'s excess, so it has the wider gap but holds
+        tol = TRIANGLE_SLACK
+        # the rounding of c + tol depends only on c's binade
+        c = next(
+            c for c in 0.75 / 2.0 ** np.arange(6)
+            if (c + tol) - c > tol + 4 * np.spacing(0.001)
+        )
+        d = np.full((6, 6), 0.9)
+        d[[0, 1], 2] = d[2, [0, 1]] = 0.0005
+        d[0, 1] = d[1, 0] = np.nextafter(0.001 + tol, 1.0)
+        d[[3, 4], 5] = d[5, [3, 4]] = c / 2
+        d[3, 4] = d[4, 3] = c + tol
+        np.fill_diagonal(d, 0.0)
+        assert d[3, 4] - c > d[0, 1] - 0.001
+        assert triangle_verdict(d) == (0, 1, 2)
+
+    def test_message_format(self):
+        d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        with pytest.raises(ValueError) as info:
+            FiniteMetricSpace(d)
+        assert str(info.value) == (
+            f"triangle inequality violated: d(0,2)={np.float64(5.0)!r} > "
+            f"d(0,1)+d(1,2)={np.float64(2.0)!r}"
+        )
 
 
 class TestIndexSet:
