@@ -34,6 +34,7 @@ from .prokhorov import (
     diameter_partition,
     mu_ut,
     prokhorov_distance,
+    prokhorov_distances,
     prokhorov_net,
     prokhorov_oracle,
     tv_distance,
@@ -63,6 +64,7 @@ __all__ = [
     "tv_distance",
     "check_alpha",
     "prokhorov_distance",
+    "prokhorov_distances",
     "prokhorov_oracle",
     "CouplingCertificate",
     "ViolationCertificate",

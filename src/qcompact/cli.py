@@ -24,7 +24,7 @@ from .metric import FiniteMetricSpace
 from .paths import PLPath, aa_net, modulus, verify_qaa
 from .prokhorov import (
     DiscreteMeasure,
-    prokhorov_distance,
+    prokhorov_distances,
     prokhorov_oracle,
     mu_ut,
     tv_distance,
@@ -303,8 +303,8 @@ def _run_prokhorov_dist(cfg: RunConfig):
     P, Q = _load_measures([cfg.inputs["p"], cfg.inputs["q"]])
     n = P.space.n_points
     rows = []
-    for lam in cfg.params["lambda_grid"]:
-        res = prokhorov_distance(P, Q, lam)
+    grid = cfg.params["lambda_grid"]
+    for lam, res in zip(grid, prokhorov_distances(P, Q, grid)):
         oracle_checked = n <= ORACLE_LIMIT
         if oracle_checked:
             ref = prokhorov_oracle(P, Q, lam)

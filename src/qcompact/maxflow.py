@@ -20,6 +20,13 @@ import numpy as np
 from .tolerances import RESIDUAL_EPS
 
 
+def _neighbours(adj):
+    """Row r's True columns, ascending, for every row of a boolean matrix."""
+    cols = np.nonzero(adj)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def transport_flow(p_mass, q_mass, allowed):
     """Maximum mass shippable from P-atoms to Q-atoms along allowed pairs.
 
@@ -32,8 +39,8 @@ def transport_flow(p_mass, q_mass, allowed):
     rq = np.asarray(q_mass, dtype=float).tolist()
     p, q = len(rp), len(rq)
     allowed = np.asarray(allowed, dtype=bool)
-    q_of = [np.flatnonzero(row).tolist() for row in allowed]
-    p_of = [np.flatnonzero(col).tolist() for col in allowed.T]
+    q_of = _neighbours(allowed)
+    p_of = _neighbours(allowed.T)
     flow = [[0.0] * q for _ in range(p)]
     total = 0.0
     while True:

@@ -16,10 +16,20 @@ __all__ = ["FiniteMetricSpace", "IndexSet", "inflate", "open_ball"]
 #: rows were no faster at n = 400 or 1000
 TRIANGLE_BLOCK = 64
 
+#: rows per block of the Euclidean distance matrix, whose working array holds
+#: EUCLID_BLOCK x n x N floats (12 MiB at n = 1500, N = 16)
+EUCLID_BLOCK = 64
+
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    n = coords.shape[0]
+    d = np.empty((n, n))
+    for s in range(0, n, EUCLID_BLOCK):
+        diff = coords[s : s + EUCLID_BLOCK, None, :] - coords[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        rows = d[s : s + EUCLID_BLOCK]
+        np.sum(diff, axis=2, out=rows)
+        np.sqrt(rows, out=rows)
     # exact zeros on the diagonal, exact symmetry
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)

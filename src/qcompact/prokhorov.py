@@ -40,6 +40,7 @@ __all__ = [
     "tv_distance",
     "check_alpha",
     "prokhorov_distance",
+    "prokhorov_distances",
     "prokhorov_oracle",
     "MuUtResult",
     "mu_ut",
@@ -273,65 +274,82 @@ class ProkhorovResult:
     breakpoints_scanned: int
 
 
-def _deficiency(p_vec, q_vec, d_over_lam, threshold):
-    """1 - maxflow when pairs with d/lam <= threshold may carry flow."""
-    allowed = d_over_lam <= threshold
-    _, value, _ = transport_flow(p_vec, q_vec, allowed)
-    return max(0.0, 1.0 - value)
-
-
 def prokhorov_distance(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float) -> ProkhorovResult:
-    """Exact lam-Prokhorov distance via a breakpoint sweep.
+    """Exact lam-Prokhorov distance; see ``prokhorov_distances``."""
+    return prokhorov_distances(P, Q, [lam])[0]
 
-    On each interval between consecutive breakpoints of ``d(i, j)/lam`` the
-    feasibility graph, hence the flow deficiency ``g``, is constant; alpha is
-    feasible iff ``g(alpha) <= alpha``.  ``g`` is nonincreasing, so the least
-    index ``k*`` with ``g_k <= b_k`` is found by binary search and the answer
-    is ``b_{k*}`` unless the previous interval already contains its own
-    feasible point ``g_{k*-1}``.
+
+def prokhorov_distances(
+    P: DiscreteMeasure, Q: DiscreteMeasure, lambda_grid
+) -> list[ProkhorovResult]:
+    """Exact lam-Prokhorov distance for every lam of ``lambda_grid``, in order.
+
+    Each lam gets its own breakpoint sweep.  On each interval between
+    consecutive breakpoints of ``d(i, j)/lam`` the feasibility graph, hence
+    the flow deficiency ``g``, is constant; alpha is feasible iff
+    ``g(alpha) <= alpha``.  ``g`` is nonincreasing, so the least index ``k*``
+    with ``g_k <= b_k`` is found by binary search and the answer is
+    ``b_{k*}`` unless the previous interval already contains its own feasible
+    point ``g_{k*-1}``.  The answer is rechecked by ``check_alpha``, whose
+    coupling is the certificate.
+
+    The sweeps share one memo of deficiencies, keyed on the number of allowed
+    pairs.  That key names the edge set exactly: ``fl(d / lam)`` is monotone
+    in ``d``, so ``{d / lam <= b}`` is ``{d <= D}`` for some ``D``, a prefix of
+    the pairs in distance order, whichever lam produced it.  A network met by
+    several sweeps is thus solved once, and the memo holds floats only.
     """
     space = _require_same_space(P, Q)
-    lam = float(lam)
-    if lam <= 0.0:
+    lambda_grid = [float(lam) for lam in lambda_grid]
+    if any(lam <= 0.0 for lam in lambda_grid):
         raise ValueError("lam must be > 0")
     sp = P.support
     sq = Q.support
-    d_over_lam = space.dist[np.ix_(sp, sq)] / lam
-    bps = np.unique(np.concatenate([[0.0], d_over_lam.ravel()]))
+    dist = space.dist[np.ix_(sp, sq)]
     p_vec = P.mass[sp]
     q_vec = Q.mass[sq]
+    deficiency: dict[int, float] = {}
 
-    cache: dict[int, float] = {}
+    results = []
+    for lam in lambda_grid:
+        d_over_lam = dist / lam
+        bps = np.unique(np.concatenate([[0.0], d_over_lam.ravel()]))
 
-    def g(k: int) -> float:
-        if k not in cache:
-            cache[k] = _deficiency(p_vec, q_vec, d_over_lam, bps[k])
-        return cache[k]
+        def g(k: int) -> float:
+            allowed = d_over_lam <= bps[k]
+            key = int(np.count_nonzero(allowed))
+            if key not in deficiency:
+                _, value, _ = transport_flow(p_vec, q_vec, allowed)
+                deficiency[key] = max(0.0, 1.0 - value)
+            return deficiency[key]
 
-    lo, hi = 0, len(bps) - 1
-    # invariant: g(hi) <= bps[hi] (the full edge set couples everything)
-    if g(lo) <= bps[lo]:
-        hi = lo
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if g(mid) <= bps[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    k_star = hi
-    alpha_star = bps[k_star]
-    if k_star > 0 and g(k_star - 1) < bps[k_star]:
-        alpha_star = g(k_star - 1)
-    alpha_star = float(alpha_star)
+        lo, hi = 0, len(bps) - 1
+        # invariant: g(hi) <= bps[hi] (the full edge set couples everything)
+        if g(lo) <= bps[lo]:
+            hi = lo
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if g(mid) <= bps[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        k_star = hi
+        alpha_star = bps[k_star]
+        if k_star > 0 and g(k_star - 1) < bps[k_star]:
+            alpha_star = g(k_star - 1)
+        alpha_star = float(alpha_star)
 
-    cert = check_alpha(P, Q, lam, alpha_star)
-    if not cert.feasible:
-        raise InternalConsistencyError(
-            f"sweep returned alpha={alpha_star!r} but the feasibility recheck disagrees"
+        cert = check_alpha(P, Q, lam, alpha_star)
+        if not cert.feasible:
+            raise InternalConsistencyError(
+                f"sweep returned alpha={alpha_star!r} but the feasibility recheck disagrees"
+            )
+        results.append(
+            ProkhorovResult(
+                lam=lam, alpha_star=alpha_star, certificate=cert, breakpoints_scanned=len(bps)
+            )
         )
-    return ProkhorovResult(
-        lam=lam, alpha_star=alpha_star, certificate=cert, breakpoints_scanned=len(bps)
-    )
+    return results
 
 
 def prokhorov_oracle(

@@ -37,7 +37,11 @@ def format_float(x: float) -> str:
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Reduce report objects to dict/list/str/int/float/bool/None trees."""
+    """Reduce report objects to dict/list/str/int/float/bool/None trees.
+
+    A dataclass becomes a dict of its fields, less those whose metadata sets
+    ``report`` to False.
+    """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -50,6 +54,7 @@ def to_jsonable(obj: Any) -> Any:
         return {
             f.name: to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
+            if f.metadata.get("report", True)
         }
     if hasattr(obj, "to_dict"):
         return to_jsonable(obj.to_dict())

@@ -13,7 +13,7 @@ lam-Prokhorov distance within an itemized slack budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .cover import covering_radius
 from .errors import InternalConsistencyError
 from .metric import FiniteMetricSpace
 from .paths import AANet, PLPath, aa_net, modulus, uniform_distance
-from .prokhorov import DiscreteMeasure, prokhorov_distance
+from .prokhorov import DiscreteMeasure, prokhorov_distance, prokhorov_distances
 from .tolerances import CERT_TOL
 
 __all__ = [
@@ -162,7 +162,9 @@ def mu_sub_hat(ensembles: Sequence[PathEnsemble], m_grid) -> MuSubResult:
 class MuSuecResult:
     """Oscillation defect sup over ensembles of P(osc(path, delta) >= eps),
     tabulated over an (eps, delta) grid.  ``value`` is the worst-over-eps of
-    the best-over-delta entry; (eps_star, delta_star) realize it."""
+    the best-over-delta entry; (eps_star, delta_star) realize it.
+    ``moduli[e][i, j]`` is ``modulus`` of ensemble e's path i at
+    ``delta_grid[j]``; it stays out of reports."""
 
     eps_grid: tuple[float, ...]
     delta_grid: tuple[float, ...]
@@ -170,6 +172,9 @@ class MuSuecResult:
     value: float
     eps_star: float
     delta_star: float
+    moduli: tuple[np.ndarray, ...] = field(
+        default=(), repr=False, compare=False, metadata={"report": False}
+    )
 
 
 def mu_suec_hat(ensembles: Sequence[PathEnsemble], eps_grid, delta_grid) -> MuSuecResult:
@@ -204,6 +209,7 @@ def mu_suec_hat(ensembles: Sequence[PathEnsemble], eps_grid, delta_grid) -> MuSu
         value=value,
         eps_star=eps_grid[i_star],
         delta_star=delta_grid[j_star],
+        moduli=tuple(osc),
     )
 
 
@@ -227,11 +233,20 @@ def _dedupe(paths: Sequence[PLPath]) -> tuple[list[PLPath], list[int]]:
     return unique, where
 
 
+#: paths per column chunk of ``path_metric_space``; its two working arrays
+#: hold PATH_CHUNK x T x N and PATH_CHUNK x T floats for T knot times
+PATH_CHUNK = 128
+
+
 def path_metric_space(paths: Sequence[PLPath]) -> FiniteMetricSpace:
     """Metric space of the given paths under the uniform norm.
 
     All pairwise distances are evaluated exactly on the union of every
-    path's knots, which dominates each pair's merged knot set.
+    path's knots, which dominates each pair's merged knot set.  Row ``i`` is
+    filled in chunks of ``PATH_CHUNK`` columns ``j > i`` through two buffers
+    allocated once, and written to both triangles.  The square root is taken
+    after the max over times: the correctly rounded ``sqrt`` is monotone, so
+    ``sqrt(max(s)) == max(sqrt(s))`` bit for bit.
     """
     paths = list(paths)
     if not paths:
@@ -241,12 +256,20 @@ def path_metric_space(paths: Sequence[PLPath]) -> FiniteMetricSpace:
         times = np.union1d(times, x.knots)
     vals = np.stack([x.at(times) for x in paths])  # (n, T, N)
     n = len(paths)
+    chunk = min(PATH_CHUNK, n)
+    diff = np.empty((chunk, *vals.shape[1:]))
+    sq = np.empty((chunk, vals.shape[1]))
     dist = np.zeros((n, n))
     for i in range(n):
-        diff = vals[i + 1 :] - vals[i]
-        if diff.size:
-            dist[i, i + 1 :] = np.sqrt((diff * diff).sum(axis=2)).max(axis=1)
-    dist = dist + dist.T
+        for s in range(i + 1, n, chunk):
+            e = min(s + chunk, n)
+            d = diff[: e - s]
+            np.subtract(vals[s:e], vals[i], out=d)
+            np.multiply(d, d, out=d)
+            row = dist[i, s:e]
+            np.max(np.sum(d, axis=2, out=sq[: e - s]), axis=1, out=row)
+            np.sqrt(row, out=row)
+            dist[s:e, i] = row
     return FiniteMetricSpace(dist, validate_triangle=False)
 
 
@@ -374,17 +397,21 @@ def verify_qsaa(
 
     all_paths = [x for e in ensembles for x in e.paths]
     unique, where = _dedupe(all_paths)
+    # each unique path's modulus at delta*, read off its first occurrence
+    j_star = osc.delta_grid.index(delta_star)
+    first = np.unique(where, return_index=True)[1]
+    osc_u = np.concatenate([o[:, j_star] for o in osc.moduli])[first]
     kept_pos: dict[int, int] = {}
     kept: list[PLPath] = []
     for u, x in enumerate(unique):
-        if x.sup_norm <= m_star and modulus(x, delta_star) < eps_star:
+        if x.sup_norm <= m_star and osc_u[u] < eps_star:
             kept_pos[u] = len(kept)
             kept.append(x)
     if not kept:
         raise ValueError(
             "trimming discarded every path; enlarge the norm or oscillation grids"
         )
-    alpha_kept = max(modulus(x, delta_star) for x in kept)
+    alpha_kept = float(osc_u[list(kept_pos)].max())
     net = aa_net(kept, delta_star, alpha_kept, max(m_star, 1e-9), eps / 2.0)
     r_net = net.covering_achieved
 
@@ -415,17 +442,19 @@ def verify_qsaa(
         candidates.append(DiscreteMeasure(space, c_mass))
         offset += e.n_paths
 
+    # alpha[i, j, k]: ensemble i against candidate j at lambda_grid[k]; one
+    # call per pair solves each flow network once across the whole grid
+    alpha = np.array(
+        [
+            [[r.alpha_star for r in prokhorov_distances(P, Q, lambda_grid)] for Q in candidates]
+            for P in ens_measures
+        ]
+    )
     rows = []
     failed = False
     sup_covering = 0.0
-    for lam in lambda_grid:
-        cross = np.array(
-            [
-                [prokhorov_distance(P, Q, lam).alpha_star for Q in candidates]
-                for P in ens_measures
-            ]
-        )
-        covering = covering_radius(cross)
+    for k, lam in enumerate(lambda_grid):
+        covering = covering_radius(alpha[:, :, k])
         slack_net = r_net / lam
         guaranteed = a + b + slack_net + eps
         ok = covering <= guaranteed + CERT_TOL

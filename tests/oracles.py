@@ -186,3 +186,31 @@ def triangle_holds_per_k(dist, tol: float) -> bool:
         if (d > bound + tol).any():
             return False
     return True
+
+
+def path_metric_per_row(paths) -> np.ndarray:
+    """Uniform-norm distance matrix of PL paths, one row at a time: every
+    pair on the union of all knots, a full (n - i, T, N) difference per row,
+    ``sqrt`` before the max over times, then ``dist + dist.T``.  Paths are
+    evaluated with ``PLPath.at``, as in the package, so bits can be compared."""
+    times = paths[0].knots
+    for x in paths[1:]:
+        times = np.union1d(times, x.knots)
+    vals = np.stack([x.at(times) for x in paths])
+    n = len(paths)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        diff = vals[i + 1 :] - vals[i]
+        if diff.size:
+            dist[i, i + 1 :] = np.sqrt((diff * diff).sum(axis=2)).max(axis=1)
+    return dist + dist.T
+
+
+def euclidean_all_pairs(coords) -> np.ndarray:
+    """Euclidean distance matrix from one (n, n, N) difference array, with
+    the diagonal zeroed and ``min(d, d.T)`` symmetry."""
+    c = np.asarray(coords, dtype=float)
+    diff = c[:, None, :] - c[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(d, 0.0)
+    return np.minimum(d, d.T)

@@ -1,13 +1,14 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import triangle_holds_per_k
+from oracles import euclidean_all_pairs, triangle_holds_per_k
 from qcompact import FiniteMetricSpace, IndexSet, inflate, open_ball
-from qcompact.metric import TRIANGLE_BLOCK
+from qcompact.metric import EUCLID_BLOCK, TRIANGLE_BLOCK, _euclidean_matrix
 from qcompact.tolerances import TRIANGLE_SLACK
 
 
@@ -176,6 +177,33 @@ class TestTriangleScan:
             f"triangle inequality violated: d(0,2)={np.float64(5.0)!r} > "
             f"d(0,1)+d(1,2)={np.float64(2.0)!r}"
         )
+
+
+class TestEuclideanMatrix:
+    @pytest.mark.parametrize("n_dim", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "n", [1, 2, EUCLID_BLOCK - 1, EUCLID_BLOCK, EUCLID_BLOCK + 1, 2 * EUCLID_BLOCK + 1]
+    )
+    def test_bit_identical_to_all_pairs_oracle(self, n, n_dim):
+        rng = np.random.default_rng(100 * n + n_dim)
+        for coords in (rng.standard_normal((n, n_dim)), rng.integers(-3, 4, (n, n_dim)) / 8.0):
+            assert (
+                FiniteMetricSpace(coords=coords, validate_triangle=False).dist.tobytes()
+                == euclidean_all_pairs(coords).tobytes()
+            )
+
+    def test_memory_stays_within_a_few_matrices(self):
+        """n = 1500 points in dimension 16: an (n, n, N) difference array
+        alone would be 16 matrices of n^2 floats."""
+        n, n_dim = 1500, 16
+        coords = np.random.default_rng(0).standard_normal((n, n_dim))
+        tracemalloc.start()
+        try:
+            _euclidean_matrix(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
 
 class TestIndexSet:

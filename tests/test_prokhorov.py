@@ -13,6 +13,7 @@ from qcompact import (
     diameter_partition,
     mu_ut,
     prokhorov_distance,
+    prokhorov_distances,
     prokhorov_net,
     prokhorov_oracle,
     tv_distance,
@@ -384,3 +385,81 @@ class TestVerifyQprokh:
         )
         assert report.status == "inconclusive"
         assert "k_max" in report.hint
+
+
+LAMBDAS = (1 / 7, 1 / 3, 1e-3, 1e3, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def planar_pair(draw):
+    """Two measures on up to 10 planar points, on a lattice (many tied
+    distances) or at uniform coordinates, with possibly zero masses."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        coord = st.integers(0, 4).map(float)
+    else:
+        coord = st.floats(0.0, 1.0)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    space = FiniteMetricSpace(coords=pts)
+
+    def mass():
+        raw = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float)
+        raw[draw(st.integers(0, n - 1))] += 1.0
+        return DiscreteMeasure(space, raw / raw.sum())
+
+    return mass(), mass()
+
+
+class TestProkhorovDistances:
+    @given(planar_pair(), st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=5))
+    @settings(max_examples=150)
+    def test_matches_one_sweep_per_lambda(self, pq, grid):
+        P, Q = pq
+        for res, lam in zip(prokhorov_distances(P, Q, grid), grid, strict=True):
+            ref = prokhorov_distance(P, Q, lam)
+            assert res.lam == ref.lam
+            assert res.alpha_star == ref.alpha_star
+            assert res.breakpoints_scanned == ref.breakpoints_scanned
+            assert res.certificate.flow.tobytes() == ref.certificate.flow.tobytes()
+            assert res.certificate.slack_mass == ref.certificate.slack_mass
+
+    def test_rejects_a_nonpositive_lambda(self):
+        P = DiscreteMeasure.dirac(two_point_space(), 0)
+        with pytest.raises(ValueError, match="lam must be > 0"):
+            prokhorov_distances(P, P, [1.0, 0.0])
+
+    @staticmethod
+    def ladder(rungs):
+        """P uniform on m points, Q uniform on m others; pair i of the ladder
+        is at distance ``rungs[i]``, every other P-Q pair at 1.9, and points
+        of one side 1 apart.  Adding the rungs in distance order lowers the
+        flow deficiency by 1/m each."""
+        m = len(rungs)
+        d = np.full((2 * m, 2 * m), 1.0)
+        d[:m, m:] = d[m:, :m] = 1.9
+        for i, r in enumerate(rungs):
+            d[i, m + i] = d[m + i, i] = r
+        np.fill_diagonal(d, 0.0)
+        space = FiniteMetricSpace(d)
+        half = np.r_[np.ones(m), np.zeros(m)] / m
+        return DiscreteMeasure(space, half), DiscreteMeasure(space, half[::-1])
+
+    def test_thresholds_shared_across_lambdas(self):
+        """Rungs 1.1^i and lam = 1.1^(2k): one threshold value names
+        different edge sets under different lam."""
+        P, Q = self.ladder([1.1**i for i in range(6)])
+        grid = [1.0, 1.1**2, 1.1**4]
+        got = [r.alpha_star for r in prokhorov_distances(P, Q, grid)]
+        assert got == [prokhorov_distance(P, Q, lam).alpha_star for lam in grid]
+
+    def test_division_merges_distances(self):
+        """Rungs one ulp apart near 0.96: dividing by 1.9 merges some, so a
+        breakpoint index names different edge sets under different lam."""
+        rungs = [0.96]
+        for _ in range(7):
+            rungs.append(float(np.nextafter(rungs[-1], 2.0)))
+        assert np.unique(np.array(rungs) / 1.9).size < len(rungs)
+        P, Q = self.ladder(rungs)
+        grid = [1.0, 1.9]
+        got = [r.alpha_star for r in prokhorov_distances(P, Q, grid)]
+        assert got == [prokhorov_distance(P, Q, lam).alpha_star for lam in grid]

@@ -6,14 +6,22 @@ from hypothesis import strategies as st
 from qcompact import (
     PathEnsemble,
     PLPath,
+    modulus,
     mu_sub_hat,
     mu_suec_hat,
     path_metric_space,
     path_prokhorov,
+    prokhorov_distance,
     sample_walks,
     uniform_distance,
     verify_qsaa,
 )
+from qcompact import prokhorov as prokhorov_module
+from qcompact import stochastic as stochastic_module
+from qcompact.serialize import to_jsonable
+from qcompact.stochastic import PATH_CHUNK
+
+from oracles import path_metric_per_row
 
 
 def const(c):
@@ -262,3 +270,65 @@ class TestVerifyQsaa:
             assert report.status in ("verified", "inconclusive")
             for row in report.lambda_rows:
                 assert row.covering <= row.guaranteed + 1e-9
+
+
+def random_paths(rng, n, n_dim):
+    """n paths in R^n_dim on three knot grids: 9 and 17 uniform knots, and
+    per-path random knots."""
+    paths = []
+    for i in range(n):
+        if i % 3 == 2:
+            knots = np.concatenate([[0.0], np.sort(rng.random(int(rng.integers(1, 12)))), [1.0]])
+        else:
+            knots = np.linspace(0.0, 1.0, 9 if i % 3 == 0 else 17)
+        paths.append(PLPath(knots, rng.standard_normal((knots.size, n_dim))))
+    return paths
+
+
+class TestPathMetricSpace:
+    @pytest.mark.parametrize("n_dim", [1, 3, 16])
+    @pytest.mark.parametrize("n", [1, 2, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1])
+    def test_bit_identical_to_per_row_oracle(self, n, n_dim):
+        paths = random_paths(np.random.default_rng(1000 * n + n_dim), n, n_dim)
+        dist = path_metric_space(paths).dist
+        assert dist.tobytes() == path_metric_per_row(paths).tobytes()
+
+    def test_walks_with_repeated_values(self):
+        """Lattice-valued walks: many equal distances and exact zeros."""
+        paths = list(sample_walks(8, 40, scale=1.0, seed=3).paths)
+        paths += list(sample_walks(16, 40, scale=1.0, seed=4).paths)
+        dist = path_metric_space(paths).dist
+        assert dist.tobytes() == path_metric_per_row(paths).tobytes()
+
+
+class TestVerifyQsaaWork:
+    def test_moduli_table_matches_modulus(self):
+        xi = [sample_walks(8, 6, seed=1), sample_walks(8, 5, seed=2)]
+        out = mu_suec_hat(xi, [0.5], [0.1, 0.3])
+        for e, table in zip(xi, out.moduli):
+            expected = [[modulus(x, d) for d in out.delta_grid] for x in e.paths]
+            assert table.tolist() == expected
+        assert "moduli" not in to_jsonable(out)
+
+    def test_one_flow_per_network_across_the_lambda_grid(self, monkeypatch):
+        """The shared sweep solves fewer flows than one sweep per lam, and
+        gives the same report."""
+        calls = [0]
+        solve = prokhorov_module.transport_flow
+
+        def counted(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        def per_lambda(P, Q, grid):
+            return [prokhorov_distance(P, Q, lam) for lam in grid]
+
+        monkeypatch.setattr(prokhorov_module, "transport_flow", counted)
+        xi = [sample_walks(16, 30, seed=11), sample_walks(16, 30, seed=12)]
+        args = (xi, [0.5, 1.0, 2.0], [0.25], [0.01], [2.0], 0.05)
+        shared = verify_qsaa(*args)
+        shared_calls, calls[0] = calls[0], 0
+        monkeypatch.setattr(stochastic_module, "prokhorov_distances", per_lambda)
+        looped = verify_qsaa(*args)
+        assert shared_calls < calls[0]
+        assert to_jsonable(shared) == to_jsonable(looped)
