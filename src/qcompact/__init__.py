@@ -37,6 +37,7 @@ from .prokhorov import (
     prokhorov_distances,
     prokhorov_net,
     prokhorov_oracle,
+    prokhorov_sweep,
     tv_distance,
     verify_qprokh,
 )
@@ -47,6 +48,7 @@ from .stochastic import (
     QSAAReport,
     mu_sub_hat,
     mu_suec_hat,
+    path_distances,
     path_metric_space,
     path_prokhorov,
     sample_walks,
@@ -65,6 +67,7 @@ __all__ = [
     "check_alpha",
     "prokhorov_distance",
     "prokhorov_distances",
+    "prokhorov_sweep",
     "prokhorov_oracle",
     "CouplingCertificate",
     "ViolationCertificate",
@@ -98,6 +101,7 @@ __all__ = [
     "MuSubResult",
     "mu_suec_hat",
     "MuSuecResult",
+    "path_distances",
     "path_metric_space",
     "path_prokhorov",
     "sample_walks",

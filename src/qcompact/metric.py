@@ -220,6 +220,20 @@ class IndexSet:
         return i in self.members
 
 
+def close_pairs(d, lam: float, alpha: float):
+    """Which distances ``d`` are within ``lam * alpha``: ``d <= lam * alpha``
+    or ``d / lam <= alpha``, so that answers of the Prokhorov breakpoint sweep
+    (in units of d/lam) recheck on the feasible side of their own boundary.
+    At ``lam = 1`` it is exactly ``d <= alpha``."""
+    return (d <= lam * alpha) | (d / lam <= alpha)
+
+
+def closed_neighborhood(rows: np.ndarray, lam: float, alpha: float) -> np.ndarray:
+    """Sorted columns within ``lam * alpha`` (under ``close_pairs``) of some
+    row of the distance block ``rows``; no rows give no columns."""
+    return np.nonzero(close_pairs(rows, lam, alpha).any(axis=0))[0]
+
+
 def inflate(space: FiniteMetricSpace, subset: IndexSet, eps: float) -> IndexSet:
     """Closed inflation: all points within distance ``eps`` of ``subset``.
 
@@ -230,11 +244,8 @@ def inflate(space: FiniteMetricSpace, subset: IndexSet, eps: float) -> IndexSet:
     if eps < 0.0:
         raise ValueError("inflation radius must be >= 0")
     subset.validate_for(space)
-    idx = subset.to_array()
-    if idx.size == 0:
-        return IndexSet(())
-    mind = space.dist[idx].min(axis=0)
-    return IndexSet(tuple(np.nonzero(mind <= eps)[0].tolist()))
+    rows = space.dist[subset.to_array()]
+    return IndexSet(tuple(closed_neighborhood(rows, 1.0, eps).tolist()))
 
 
 def open_ball(space: FiniteMetricSpace, center: int, eps: float) -> IndexSet:

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ball import BallCertificate, chebyshev_center, jung_ratio
-from .errors import InternalConsistencyError, VerificationError
+from .ball import chebyshev_center, jung_ratio
+from .errors import InternalConsistencyError
 from .tolerances import CERT_TOL
 
 __all__ = [

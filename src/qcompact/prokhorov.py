@@ -14,33 +14,40 @@ duality also makes the condition symmetric in P and Q.
 
 Feasibility at a fixed alpha is therefore one max-flow computation, and the
 exact minimizer is found by sweeping the finitely many breakpoints
-``d(i, j)/lam`` at which the edge set changes.  A subset-enumeration plus
-bisection routine is kept as an independent cross-check oracle.
+``d(i, j)/lam`` at which the edge set changes.  Only the masses and the
+distances between the two supports enter, so the sweep, its check and both
+certificates take a problem in *block form*: probability vectors ``p_mass``
+and ``q_mass`` and the block ``dist[i, j]`` of distances from P-atom i to
+Q-atom j; a measure pair on one space is ``(P.mass, Q.mass, space.dist)``.
+A subset-enumeration plus bisection routine is kept as a cross-check oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, VerificationError
+from .errors import InternalConsistencyError
 from .maxflow import transport_flow
-from .metric import FiniteMetricSpace, IndexSet, inflate, open_ball
+from .metric import FiniteMetricSpace, IndexSet, close_pairs, closed_neighborhood
 from .tolerances import FLOW_TOL, MASS_SUM_TOL
 
 __all__ = [
+    "probability_vector",
     "DiscreteMeasure",
     "CouplingCertificate",
     "ViolationCertificate",
     "ProkhorovResult",
     "tv_distance",
     "check_alpha",
+    "check_alpha_block",
     "prokhorov_distance",
     "prokhorov_distances",
+    "prokhorov_sweep",
     "prokhorov_oracle",
     "MuUtResult",
     "mu_ut",
@@ -55,34 +62,41 @@ __all__ = [
 NET_SIZE_CAP = 10**6
 
 
-class DiscreteMeasure:
-    """A probability measure with finitely many atoms on a FiniteMetricSpace.
+def probability_vector(values, what: str = "masses") -> np.ndarray:
+    """``values`` validated and renormalized to total exactly 1, read-only.
 
-    Masses are validated nonnegative and renormalized to total exactly 1; a
-    deviation above 1e-9 before renormalization is a construction error.
+    Entries must be finite and nonnegative (entries down to -1e-12 are taken
+    as 0), and their total must lie within ``MASS_SUM_TOL`` of 1 before it is
+    divided out.  ``what`` names the entries in error messages.
     """
+    values = np.array(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    if values.min(initial=0.0) < -1e-12:
+        raise ValueError(f"{what} must be nonnegative")
+    values = np.maximum(values, 0.0)
+    total = float(values.sum())
+    if abs(total - 1.0) > MASS_SUM_TOL:
+        raise ValueError(f"{what} sum to {total!r}, not 1")
+    values /= total
+    values.setflags(write=False)
+    return values
+
+
+class DiscreteMeasure:
+    """A probability measure on a FiniteMetricSpace; see ``probability_vector``."""
 
     __slots__ = ("space", "mass")
 
     def __init__(self, space: FiniteMetricSpace, mass):
-        mass = np.array(mass, dtype=float)
+        mass = np.asarray(mass, dtype=float)
         if mass.shape != (space.n_points,):
             raise ValueError(
                 f"mass vector of length {mass.size} does not fit a "
                 f"{space.n_points}-point space"
             )
-        if not np.isfinite(mass).all():
-            raise ValueError("masses must be finite")
-        if mass.min(initial=0.0) < -1e-12:
-            raise ValueError("masses must be nonnegative")
-        mass = np.maximum(mass, 0.0)
-        total = float(mass.sum())
-        if abs(total - 1.0) > MASS_SUM_TOL:
-            raise ValueError(f"masses sum to {total!r}, not 1")
-        mass /= total
-        mass.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "mass", probability_vector(mass))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -132,9 +146,10 @@ class CouplingCertificate:
     """Witness that alpha is feasible: a sub-coupling along close pairs.
 
     ``flow[a, b]`` is the mass moved from P-atom ``p_support[a]`` to Q-atom
-    ``q_support[b]``; every positive entry sits on a pair within distance
-    ``lam * alpha``.  ``slack_mass`` is the uncoupled remainder, at most
-    ``alpha`` up to the 1e-9 residual budget.
+    ``q_support[b]`` (row and column indices of the distance block); every
+    positive entry sits on a pair within distance ``lam * alpha``.
+    ``slack_mass`` is the uncoupled remainder, at most ``alpha`` up to the
+    1e-9 residual budget.
     """
 
     lam: float
@@ -150,30 +165,32 @@ class CouplingCertificate:
 
     def validate(self, P: DiscreteMeasure, Q: DiscreteMeasure, tol: float = FLOW_TOL) -> None:
         """Re-check every certificate invariant against P and Q; raises on failure."""
-        space = _require_same_space(P, Q)
+        self.validate_block(P.mass, Q.mass, _require_same_space(P, Q).dist, tol)
+
+    def validate_block(self, p_mass, q_mass, dist, tol: float = FLOW_TOL) -> None:
+        """``validate`` on a problem in block form."""
         sp = np.array(self.p_support, dtype=int)
         sq = np.array(self.q_support, dtype=int)
         if self.flow.min(initial=0.0) < -tol:
             raise InternalConsistencyError("negative flow entry")
-        row = self.flow.sum(axis=1)
-        col = self.flow.sum(axis=0)
-        if (row - P.mass[sp] > tol).any():
+        if (self.flow.sum(axis=1) - p_mass[sp] > tol).any():
             raise InternalConsistencyError("flow row sums exceed P masses")
-        if (col - Q.mass[sq] > tol).any():
+        if (self.flow.sum(axis=0) - q_mass[sq] > tol).any():
             raise InternalConsistencyError("flow column sums exceed Q masses")
         total = float(self.flow.sum())
         if abs(total + self.slack_mass - 1.0) > tol:
             raise InternalConsistencyError("flow plus slack does not add to 1")
         if self.slack_mass > self.alpha + tol:
             raise InternalConsistencyError("slack mass exceeds alpha")
-        beyond = ~_close(space.dist[np.ix_(sp, sq)], self.lam, self.alpha)
+        beyond = ~close_pairs(dist[np.ix_(sp, sq)], self.lam, self.alpha)
         if (self.flow[beyond] > tol).any():
             raise InternalConsistencyError("positive flow on a pair beyond lam*alpha")
 
 
 @dataclass(frozen=True)
 class ViolationCertificate:
-    """Witness that alpha is infeasible: a set with P(A) > Q(A^(lam a)) + a."""
+    """Witness that alpha is infeasible: a set A of P-atoms (rows of the
+    distance block) with P(A) > Q(A^(lam a)) + a."""
 
     lam: float
     alpha: float
@@ -190,38 +207,29 @@ class ViolationCertificate:
         return self.p_mass - self.q_inflated_mass - self.alpha
 
     def validate(self, P: DiscreteMeasure, Q: DiscreteMeasure, tol: float = FLOW_TOL) -> None:
-        space = _require_same_space(P, Q)
-        pm = P.prob(self.subset)
-        qm = Q.prob(_closed_neighborhood(space, self.subset, self.lam, self.alpha))
+        self.validate_block(P.mass, Q.mass, _require_same_space(P, Q).dist, tol)
+
+    def validate_block(self, p_mass, q_mass, dist, tol: float = FLOW_TOL) -> None:
+        """``validate`` on a problem in block form."""
+        pm, qm = _cut_masses(p_mass, q_mass, dist, self.subset.to_array(), self.lam, self.alpha)
         if abs(pm - self.p_mass) > tol or abs(qm - self.q_inflated_mass) > tol:
             raise InternalConsistencyError("violation certificate masses are stale")
         if pm - qm - self.alpha <= 0.0:
             raise InternalConsistencyError("claimed violating set does not violate")
 
 
-def _close(d, lam: float, alpha: float):
-    """Which distances ``d`` are within ``lam * alpha``, boundary-robust.
-
-    Same as ``d <= lam * alpha`` in exact arithmetic; a pair is also accepted
-    when ``d / lam <= alpha``, so that answers produced by the breakpoint
-    sweep (which works in units of d/lam) land on the feasible side of their
-    own boundary and recheck consistently.
-    """
-    return (d <= lam * alpha) | (d / lam <= alpha)
-
-
-def _closed_neighborhood(
-    space: FiniteMetricSpace, subset: IndexSet, lam: float, alpha: float
-) -> IndexSet:
-    """Closed lam*alpha-inflation of ``subset`` under the ``_close`` test."""
-    idx = subset.to_array()
-    if idx.size == 0:
-        return IndexSet()
-    hit = _close(space.dist[idx], lam, alpha).any(axis=0)
-    return IndexSet(tuple(np.nonzero(hit)[0].tolist()))
+def _cut_masses(p_mass, q_mass, dist, rows: np.ndarray, lam: float, alpha: float):
+    """P(A) and Q(A^(lam*alpha)) for the set A of P-atoms ``rows``."""
+    near = closed_neighborhood(dist[rows], lam, alpha)
+    return float(p_mass[rows].sum()), float(q_mass[near].sum())
 
 
 def check_alpha(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float, alpha: float):
+    """``check_alpha_block`` on the block ``(P.mass, Q.mass, space.dist)``."""
+    return check_alpha_block(P.mass, Q.mass, _require_same_space(P, Q).dist, lam, alpha)
+
+
+def check_alpha_block(p_mass, q_mass, dist, lam: float, alpha: float):
     """Decide feasibility of ``alpha`` for the lam-Prokhorov condition.
 
     Returns a CouplingCertificate when feasible and a ViolationCertificate
@@ -229,28 +237,24 @@ def check_alpha(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float, alpha: float
     graph and then re-checked definitionally on the min-cut set, so the
     returned certificate is always self-consistent.
     """
-    space = _require_same_space(P, Q)
-    lam = float(lam)
-    alpha = float(alpha)
+    lam, alpha = float(lam), float(alpha)
     if lam <= 0.0:
         raise ValueError("lam must be > 0")
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    sp = P.support
-    sq = Q.support
-    allowed = _close(space.dist[np.ix_(sp, sq)], lam, alpha)
-    flow, value, reach_p = transport_flow(P.mass[sp], Q.mass[sq], allowed)
+    sp = np.flatnonzero(p_mass > 0.0)
+    sq = np.flatnonzero(q_mass > 0.0)
+    allowed = close_pairs(dist[np.ix_(sp, sq)], lam, alpha)
+    flow, value, reach_p = transport_flow(p_mass[sp], q_mass[sq], allowed)
 
     # min-cut set: P-atoms still reachable from the source
-    cut_set = IndexSet(tuple(sp[reach_p].tolist()))
-    p_mass = P.prob(cut_set)
-    q_infl = Q.prob(_closed_neighborhood(space, cut_set, lam, alpha))
+    cut = sp[reach_p]
+    p_cut, q_infl = _cut_masses(p_mass, q_mass, dist, cut, lam, alpha)
     # a gap within the flow budget is rounding: the coupling's slack then
     # exceeds alpha by at most FLOW_TOL, which its validate() accepts
-    if p_mass - q_infl - alpha > FLOW_TOL:
-        return ViolationCertificate(
-            lam=lam, alpha=alpha, subset=cut_set, p_mass=p_mass, q_inflated_mass=q_infl
-        )
+    if p_cut - q_infl - alpha > FLOW_TOL:
+        subset = IndexSet(tuple(cut.tolist()))
+        return ViolationCertificate(lam, alpha, subset, p_mass=p_cut, q_inflated_mass=q_infl)
     slack = max(0.0, 1.0 - value)
     cert = CouplingCertificate(
         lam=lam,
@@ -260,7 +264,7 @@ def check_alpha(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float, alpha: float
         flow=flow,
         slack_mass=slack,
     )
-    cert.validate(P, Q)
+    cert.validate_block(p_mass, q_mass, dist)
     return cert
 
 
@@ -275,14 +279,21 @@ class ProkhorovResult:
 
 
 def prokhorov_distance(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float) -> ProkhorovResult:
-    """Exact lam-Prokhorov distance; see ``prokhorov_distances``."""
+    """Exact lam-Prokhorov distance; see ``prokhorov_sweep``."""
     return prokhorov_distances(P, Q, [lam])[0]
 
 
 def prokhorov_distances(
     P: DiscreteMeasure, Q: DiscreteMeasure, lambda_grid
 ) -> list[ProkhorovResult]:
-    """Exact lam-Prokhorov distance for every lam of ``lambda_grid``, in order.
+    """``prokhorov_sweep`` on the block ``(P.mass, Q.mass, space.dist)``."""
+    return prokhorov_sweep(P.mass, Q.mass, _require_same_space(P, Q).dist, lambda_grid)
+
+
+def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
+    """Exact lam-Prokhorov distance for every lam of ``lambda_grid``, in order,
+    between the probability vectors ``p_mass`` and ``q_mass`` at the distances
+    ``dist[i, j]`` from P-atom i to Q-atom j.
 
     Each lam gets its own breakpoint sweep.  On each interval between
     consecutive breakpoints of ``d(i, j)/lam`` the feasibility graph, hence
@@ -290,8 +301,8 @@ def prokhorov_distances(
     ``g(alpha) <= alpha``.  ``g`` is nonincreasing, so the least index ``k*``
     with ``g_k <= b_k`` is found by binary search and the answer is
     ``b_{k*}`` unless the previous interval already contains its own feasible
-    point ``g_{k*-1}``.  The answer is rechecked by ``check_alpha``, whose
-    coupling is the certificate.
+    point ``g_{k*-1}``.  The answer is rechecked by ``check_alpha_block``,
+    whose coupling is the certificate.
 
     The sweeps share one memo of deficiencies, keyed on the number of allowed
     pairs.  That key names the edge set exactly: ``fl(d / lam)`` is monotone
@@ -299,20 +310,20 @@ def prokhorov_distances(
     the pairs in distance order, whichever lam produced it.  A network met by
     several sweeps is thus solved once, and the memo holds floats only.
     """
-    space = _require_same_space(P, Q)
     lambda_grid = [float(lam) for lam in lambda_grid]
     if any(lam <= 0.0 for lam in lambda_grid):
         raise ValueError("lam must be > 0")
-    sp = P.support
-    sq = Q.support
-    dist = space.dist[np.ix_(sp, sq)]
-    p_vec = P.mass[sp]
-    q_vec = Q.mass[sq]
+    if dist.shape != (len(p_mass), len(q_mass)):
+        raise ValueError(f"a {dist.shape} distance block does not fit the mass vectors")
+    sp = np.flatnonzero(p_mass > 0.0)
+    sq = np.flatnonzero(q_mass > 0.0)
+    block = dist[np.ix_(sp, sq)]
+    p_vec, q_vec = p_mass[sp], q_mass[sq]
     deficiency: dict[int, float] = {}
 
     results = []
     for lam in lambda_grid:
-        d_over_lam = dist / lam
+        d_over_lam = block / lam
         bps = np.unique(np.concatenate([[0.0], d_over_lam.ravel()]))
 
         def g(k: int) -> float:
@@ -339,7 +350,7 @@ def prokhorov_distances(
             alpha_star = g(k_star - 1)
         alpha_star = float(alpha_star)
 
-        cert = check_alpha(P, Q, lam, alpha_star)
+        cert = check_alpha_block(p_mass, q_mass, dist, lam, alpha_star)
         if not cert.feasible:
             raise InternalConsistencyError(
                 f"sweep returned alpha={alpha_star!r} but the feasibility recheck disagrees"

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cover import covering_radius
-from .errors import InternalConsistencyError
 from .metric import FiniteMetricSpace
-from .paths import AANet, PLPath, aa_net, modulus, uniform_distance
-from .prokhorov import DiscreteMeasure, prokhorov_distance, prokhorov_distances
+from .paths import PLPath, aa_net, modulus, uniform_distance
+from .prokhorov import probability_vector, prokhorov_sweep
 from .tolerances import CERT_TOL
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "mu_sub_hat",
     "MuSuecResult",
     "mu_suec_hat",
+    "path_distances",
     "path_metric_space",
     "path_prokhorov",
     "sample_walks",
@@ -42,8 +42,8 @@ __all__ = [
 class PathEnsemble:
     """A probability measure on finitely many PL paths of a common dimension.
 
-    Weights are validated nonnegative, must total 1 within 1e-12, and are
-    then renormalized exactly.  Immutable.
+    Weights (uniform by default) go through ``probability_vector``, so they
+    must total 1 within ``MASS_SUM_TOL``.  Immutable.
     """
 
     __slots__ = ("paths", "weights")
@@ -60,22 +60,11 @@ class PathEnsemble:
                 raise ValueError(f"path {i} has dimension {x.n_dim}, expected {n_dim}")
         if weights is None:
             weights = np.full(len(paths), 1.0 / len(paths))
-        else:
-            weights = np.array(weights, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(paths),):
             raise ValueError("need one weight per path")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        if weights.min(initial=0.0) < -1e-12:
-            raise ValueError("weights must be nonnegative")
-        weights = np.maximum(weights, 0.0)
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        weights = weights / total
-        weights.setflags(write=False)
         object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", probability_vector(weights, "weights"))
 
     def __setattr__(self, name, value):
         raise AttributeError("PathEnsemble is immutable")
@@ -233,66 +222,61 @@ def _dedupe(paths: Sequence[PLPath]) -> tuple[list[PLPath], list[int]]:
     return unique, where
 
 
-#: paths per column chunk of ``path_metric_space``; its two working arrays
-#: hold PATH_CHUNK x T x N and PATH_CHUNK x T floats for T knot times
+#: columns per chunk of ``path_distances``; its two working arrays hold
+#: PATH_CHUNK x T x N and PATH_CHUNK x T floats for T knot times
 PATH_CHUNK = 128
 
 
-def path_metric_space(paths: Sequence[PLPath]) -> FiniteMetricSpace:
-    """Metric space of the given paths under the uniform norm.
+def path_distances(rows: Sequence[PLPath], cols: Sequence[PLPath]) -> np.ndarray:
+    """Uniform-norm distances ``d[i, j]`` from path ``rows[i]`` to ``cols[j]``.
 
-    All pairwise distances are evaluated exactly on the union of every
-    path's knots, which dominates each pair's merged knot set.  Row ``i`` is
-    filled in chunks of ``PATH_CHUNK`` columns ``j > i`` through two buffers
-    allocated once, and written to both triangles.  The square root is taken
-    after the max over times: the correctly rounded ``sqrt`` is monotone, so
-    ``sqrt(max(s)) == max(sqrt(s))`` bit for bit.
+    Every pair is evaluated exactly on the union of the knots of all the
+    paths, which dominates each pair's merged knot set.  Row ``i`` is filled
+    in chunks of ``PATH_CHUNK`` columns through two buffers allocated once.
+    The square root is taken after the max over times: the correctly rounded
+    ``sqrt`` is monotone, so ``sqrt(max(s)) == max(sqrt(s))`` bit for bit.
     """
-    paths = list(paths)
-    if not paths:
+    if not rows or not cols:
         raise ValueError("need at least one path")
-    times = paths[0].knots
-    for x in paths[1:]:
-        times = np.union1d(times, x.knots)
-    vals = np.stack([x.at(times) for x in paths])  # (n, T, N)
-    n = len(paths)
-    chunk = min(PATH_CHUNK, n)
-    diff = np.empty((chunk, *vals.shape[1:]))
-    sq = np.empty((chunk, vals.shape[1]))
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for s in range(i + 1, n, chunk):
-            e = min(s + chunk, n)
+    times = np.unique(np.concatenate([x.knots for x in [*rows, *cols]]))
+    row_vals = np.stack([x.at(times) for x in rows])  # (n, T, N)
+    col_vals = np.stack([x.at(times) for x in cols])  # (m, T, N)
+    m = len(cols)
+    chunk = min(PATH_CHUNK, m)
+    diff = np.empty((chunk, *col_vals.shape[1:]))
+    sq = np.empty((chunk, col_vals.shape[1]))
+    dist = np.empty((len(rows), m))
+    for i, v in enumerate(row_vals):
+        for s in range(0, m, chunk):
+            e = min(s + chunk, m)
             d = diff[: e - s]
-            np.subtract(vals[s:e], vals[i], out=d)
+            np.subtract(col_vals[s:e], v, out=d)
             np.multiply(d, d, out=d)
-            row = dist[i, s:e]
-            np.max(np.sum(d, axis=2, out=sq[: e - s]), axis=1, out=row)
-            np.sqrt(row, out=row)
-            dist[s:e, i] = row
-    return FiniteMetricSpace(dist, validate_triangle=False)
+            np.max(np.sum(d, axis=2, out=sq[: e - s]), axis=1, out=dist[i, s:e])
+    return np.sqrt(dist, out=dist)
 
 
-def _ensemble_measure(space: FiniteMetricSpace, where: Sequence[int],
-                      ensemble: PathEnsemble, offset: int) -> DiscreteMeasure:
-    mass = np.zeros(space.n_points)
-    for i, w in enumerate(ensemble.weights):
-        mass[where[offset + i]] += w
-    return DiscreteMeasure(space, mass)
+def path_metric_space(paths: Sequence[PLPath]) -> FiniteMetricSpace:
+    """Metric space of the given paths under the uniform norm."""
+    paths = list(paths)
+    return FiniteMetricSpace(path_distances(paths, paths), validate_triangle=False)
 
 
-def path_prokhorov(
-    ens_p: PathEnsemble, ens_q: PathEnsemble, lam: float
-) -> float:
-    """lam-Prokhorov distance between two path ensembles, exactly, on the
-    deduplicated union of their supports."""
+def _law(where, weights: np.ndarray, n: int) -> np.ndarray:
+    """Probability vector on ``n`` atoms, ``weights[i]`` added to atom ``where[i]``."""
+    return probability_vector(np.bincount(where, weights, minlength=n))
+
+
+def path_prokhorov(ens_p: PathEnsemble, ens_q: PathEnsemble, lam: float) -> float:
+    """lam-Prokhorov distance between two path ensembles, exactly, between
+    their two deduplicated supports."""
     if ens_p.n_dim != ens_q.n_dim:
         raise ValueError("ensembles have different path dimensions")
-    unique, where = _dedupe(list(ens_p.paths) + list(ens_q.paths))
-    space = path_metric_space(unique)
-    P = _ensemble_measure(space, where, ens_p, 0)
-    Q = _ensemble_measure(space, where, ens_q, ens_p.n_paths)
-    return prokhorov_distance(P, Q, lam).alpha_star
+    rows, where_p = _dedupe(ens_p.paths)
+    cols, where_q = _dedupe(ens_q.paths)
+    p = _law(where_p, ens_p.weights, len(rows))
+    q = _law(where_q, ens_q.weights, len(cols))
+    return prokhorov_sweep(p, q, path_distances(rows, cols), [lam])[0].alpha_star
 
 
 # ---------------------------------------------------------------------------
@@ -424,31 +408,16 @@ def verify_qsaa(
             dists = [uniform_distance(x, m) for m in net.members]
             member_of[u] = int(np.argmin(dists))
 
-    space_paths = unique + list(net.members)
-    space = path_metric_space(space_paths)
-    member_index = [len(unique) + j for j in range(len(net.members))]
-
-    candidates = []
-    offset = 0
-    ens_measures = []
-    for e in ensembles:
-        p_mass = np.zeros(space.n_points)
-        c_mass = np.zeros(space.n_points)
-        for i, w in enumerate(e.weights):
-            u = where[offset + i]
-            p_mass[u] += w
-            c_mass[member_index[member_of[u]]] += w
-        ens_measures.append(DiscreteMeasure(space, p_mass))
-        candidates.append(DiscreteMeasure(space, c_mass))
-        offset += e.n_paths
-
-    # alpha[i, j, k]: ensemble i against candidate j at lambda_grid[k]; one
-    # call per pair solves each flow network once across the whole grid
+    # alpha[i, j, k]: ensemble i's law on the unique paths against candidate
+    # j's law on the net members at lambda_grid[k]; one sweep per pair solves
+    # each flow network once across the whole grid
+    dist = path_distances(unique, net.members)
+    parts = np.split(np.array(where), np.cumsum([e.n_paths for e in ensembles])[:-1])
+    laws = [_law(u, e.weights, len(unique)) for e, u in zip(ensembles, parts)]
+    candidates = [_law(member_of[u], e.weights, len(net.members)) for e, u in zip(ensembles, parts)]
     alpha = np.array(
-        [
-            [[r.alpha_star for r in prokhorov_distances(P, Q, lambda_grid)] for Q in candidates]
-            for P in ens_measures
-        ]
+        [[[r.alpha_star for r in prokhorov_sweep(p, c, dist, lambda_grid)] for c in candidates]
+         for p in laws]
     )
     rows = []
     failed = False
@@ -474,6 +443,8 @@ def verify_qsaa(
         )
 
     lower_defect = max(a, b)
+    # no CERT_TOL here: this converse check carries no finite-sample
+    # guarantee, and failing it only makes the status "inconclusive"
     lower_ok = lower_defect <= sup_covering + eps
     if failed:
         status = "failed"

@@ -4,7 +4,8 @@ Each value is a rounding budget for one kind of check, not a modelling
 parameter:
 
 - ``MASS_SUM_TOL``: a mass vector whose total is further than this from 1 is
-  rejected when a ``DiscreteMeasure`` is built (it is then renormalized).
+  rejected by ``probability_vector``, which renormalizes the rest: the masses
+  of a ``DiscreteMeasure``, the weights of a ``PathEnsemble`` and path laws.
 - ``FLOW_TOL``: residual budget of the max-flow arithmetic.  A coupling
   certificate is rechecked against it (row and column sums, flow plus slack,
   slack against alpha, flow on pairs beyond ``lam * alpha``);

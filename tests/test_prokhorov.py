@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,12 @@ from qcompact import (
     prokhorov_distances,
     prokhorov_net,
     prokhorov_oracle,
+    prokhorov_sweep,
     tv_distance,
     verify_qprokh,
 )
+from qcompact.errors import InternalConsistencyError
+from qcompact.prokhorov import check_alpha_block
 
 from oracles import feasible_by_subsets, tv_subsets
 
@@ -463,3 +468,67 @@ class TestProkhorovDistances:
         grid = [1.0, 1.9]
         got = [r.alpha_star for r in prokhorov_distances(P, Q, grid)]
         assert got == [prokhorov_distance(P, Q, lam).alpha_star for lam in grid]
+
+
+class TestBlockForm:
+    @given(planar_pair(), st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_sweep_on_the_space_matches_the_measures(self, pq, grid):
+        P, Q = pq
+        for res, ref in zip(
+            prokhorov_sweep(P.mass, Q.mass, P.space.dist, grid),
+            prokhorov_distances(P, Q, grid),
+            strict=True,
+        ):
+            assert res.alpha_star == ref.alpha_star
+            assert res.certificate.flow.tobytes() == ref.certificate.flow.tobytes()
+            assert res.certificate.p_support == ref.certificate.p_support
+            assert res.certificate.q_support == ref.certificate.q_support
+            res.certificate.validate(P, Q)
+
+    @given(planar_pair(), st.sampled_from(LAMBDAS))
+    @settings(max_examples=100)
+    def test_support_block_alone_gives_the_same_answer(self, pq, lam):
+        """Only the P-support x Q-support block of the space enters."""
+        P, Q = pq
+        sp, sq = P.support, Q.support
+        block = P.space.dist[np.ix_(sp, sq)]
+        res = prokhorov_sweep(P.mass[sp], Q.mass[sq], block, [lam])[0]
+        ref = prokhorov_distance(P, Q, lam)
+        assert res.alpha_star == ref.alpha_star
+        assert res.certificate.flow.tobytes() == ref.certificate.flow.tobytes()
+        assert tuple(sp[list(res.certificate.p_support)]) == ref.certificate.p_support
+        assert tuple(sq[list(res.certificate.q_support)]) == ref.certificate.q_support
+
+    @staticmethod
+    def line_block():
+        """P at 0 and 10, Q at 0.1, 10.1 and 20 on a line: a 2 x 3 block."""
+        p = np.array([0.5, 0.5])
+        q = np.array([0.4, 0.5, 0.1])
+        dist = np.abs(np.array([0.0, 10.0])[:, None] - np.array([0.1, 10.1, 20.0])[None, :])
+        return p, q, dist
+
+    def test_rectangular_block(self):
+        p, q, dist = self.line_block()
+        res = prokhorov_sweep(p, q, dist, [1.0])[0]
+        assert res.alpha_star == pytest.approx(0.1, abs=1e-15)
+        res.certificate.validate_block(p, q, dist)
+        assert isinstance(check_alpha_block(p, q, dist, 1.0, 0.05), ViolationCertificate)
+
+    def test_mass_moved_beyond_lam_alpha_is_rejected(self):
+        """A 2 x 2 swap keeps every row and column sum but puts flow on the
+        pairs at distance 10.1 and 9.9."""
+        p, q, dist = self.line_block()
+        cert = prokhorov_sweep(p, q, dist, [1.0])[0].certificate
+        flow = cert.flow.copy()
+        flow[0, 0] -= 0.2
+        flow[1, 1] -= 0.2
+        flow[0, 1] += 0.2
+        flow[1, 0] += 0.2
+        with pytest.raises(InternalConsistencyError, match="beyond lam\\*alpha"):
+            dataclasses.replace(cert, flow=flow).validate_block(p, q, dist)
+
+    def test_rejects_a_block_that_does_not_fit(self):
+        p, q, dist = self.line_block()
+        with pytest.raises(ValueError, match="does not fit"):
+            prokhorov_sweep(p, q, dist.T, [1.0])

@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcompact import (
+    DiscreteMeasure,
+    FiniteMetricSpace,
     PathEnsemble,
     PLPath,
     modulus,
     mu_sub_hat,
     mu_suec_hat,
+    path_distances,
     path_metric_space,
     path_prokhorov,
-    prokhorov_distance,
+    prokhorov_sweep,
     sample_walks,
     uniform_distance,
     verify_qsaa,
@@ -80,9 +83,18 @@ class TestPathEnsemble:
         e = PathEnsemble([const(0.0), const(1.0)])
         assert np.allclose(e.weights, [0.5, 0.5])
 
-    def test_rejects_weight_sum_off_by_more_than_1e12(self):
+    def test_accepts_and_renormalizes_weight_sum_within_mass_sum_tol(self):
+        e = PathEnsemble([const(0.0), const(1.0)], [0.5, 0.5 + 1e-10])
+        assert e.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert e.weights[1] > e.weights[0]
+
+    def test_rejects_weight_sum_off_by_more_than_mass_sum_tol(self):
         with pytest.raises(ValueError, match="sum"):
-            PathEnsemble([const(0.0), const(1.0)], [0.5, 0.5 + 1e-9])
+            PathEnsemble([const(0.0), const(1.0)], [0.5, 0.5 + 1e-8])
+
+    def test_rejects_a_negative_weight(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PathEnsemble([const(0.0), const(1.0)], [1.1, -0.1])
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -301,6 +313,20 @@ class TestPathMetricSpace:
         assert dist.tobytes() == path_metric_per_row(paths).tobytes()
 
 
+class TestPathDistances:
+    SIZES = [1, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1]
+
+    @pytest.mark.parametrize("n_dim", [1, 3])
+    @pytest.mark.parametrize("n_cols", SIZES)
+    @pytest.mark.parametrize("n_rows", SIZES)
+    def test_bit_identical_to_the_oracle_block(self, n_rows, n_cols, n_dim):
+        rng = np.random.default_rng([n_rows, n_cols, n_dim])
+        rows = random_paths(rng, n_rows, n_dim)
+        cols = random_paths(rng, n_cols, n_dim)[::-1]
+        block = path_metric_per_row(rows + cols)[:n_rows, n_rows:]
+        assert path_distances(rows, cols).tobytes() == block.tobytes()
+
+
 class TestVerifyQsaaWork:
     def test_moduli_table_matches_modulus(self):
         xi = [sample_walks(8, 6, seed=1), sample_walks(8, 5, seed=2)]
@@ -320,15 +346,35 @@ class TestVerifyQsaaWork:
             calls[0] += 1
             return solve(*args)
 
-        def per_lambda(P, Q, grid):
-            return [prokhorov_distance(P, Q, lam) for lam in grid]
+        def per_lambda(p, q, dist, grid):
+            return [prokhorov_sweep(p, q, dist, [lam])[0] for lam in grid]
 
         monkeypatch.setattr(prokhorov_module, "transport_flow", counted)
         xi = [sample_walks(16, 30, seed=11), sample_walks(16, 30, seed=12)]
         args = (xi, [0.5, 1.0, 2.0], [0.25], [0.01], [2.0], 0.05)
         shared = verify_qsaa(*args)
         shared_calls, calls[0] = calls[0], 0
-        monkeypatch.setattr(stochastic_module, "prokhorov_distances", per_lambda)
+        monkeypatch.setattr(stochastic_module, "prokhorov_sweep", per_lambda)
         looped = verify_qsaa(*args)
         assert shared_calls < calls[0]
         assert to_jsonable(shared) == to_jsonable(looped)
+
+    def test_path_laws_build_no_space_and_no_measure(self, monkeypatch):
+        """The sweep runs on the walk x member block: no square space of
+        paths, no measure on one."""
+        built = []
+
+        def refuse(cls):
+            def init(self, *args, **kwargs):
+                built.append(cls.__name__)
+                raise AssertionError(f"{cls.__name__} built")
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        refuse(FiniteMetricSpace)
+        refuse(DiscreteMeasure)
+        xi = [sample_walks(16, 30, seed=11), sample_walks(16, 30, seed=12)]
+        report = verify_qsaa(xi, [0.5, 1.0, 2.0], [0.25], [0.01], [2.0], 0.05)
+        assert report.n_unique_paths > 30
+        assert 0.0 < path_prokhorov(xi[0], xi[1], 1.0) <= 1.0
+        assert built == []
