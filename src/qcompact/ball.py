@@ -12,7 +12,13 @@ input size.  Each pivot strictly grows the radius, so the loop ends; a cap of
 of the lexicographically sorted unique points, so results do not depend on
 the order the caller supplies.  Every ball is then checked to contain every
 input point, and its center is certified inside the convex hull of its
-support by nonnegative least squares.
+support: a nonnegative combination of sphere points, with weights summing to
+1, reproduces the center.  In the generic case the candidates are at most
+N+1 affinely independent points, the weights are unique, and one numpy
+least-squares solve finds them (the center's barycentric coordinates, as in
+Gärtner's paper).  Cospherical candidate sets (more than N+1 points, or
+affinely dependent ones) have no unique weights, and nonnegative least
+squares picks a combination; only they load ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .tolerances import HULL_TOL
+from .tolerances import HULL_TOL, SUPPORT_BAND, SUPPORT_BAND_GROWTH, SUPPORT_WEIGHT_MIN
 
 __all__ = ["BallCertificate", "chebyshev_center", "jung_ratio", "JungCheck", "jung_check"]
 
@@ -43,8 +49,12 @@ class BallCertificate:
     """Smallest ball enclosing the input points.
 
     ``support`` indexes at most N+1 input points lying on the boundary sphere
-    whose convex hull contains the center (certified by a nonnegative
-    least-squares combination with residual at most 1e-9).
+    whose convex hull contains the center.  ``hull_residual`` is the
+    distance between the center (with the weights' sum, both scaled by
+    ``max(1, radius)``) and the nonnegative combination of the support that
+    certifies it, at most ``HULL_TOL * max(1, radius)``.  The combination is
+    solved by numpy for at most N+1 affinely independent candidates and by
+    nonnegative least squares for cospherical ones.
     """
 
     center: np.ndarray
@@ -111,24 +121,53 @@ def _pivot_ball(work: np.ndarray, dim: int):
     )
 
 
-def _support_certificate(points: np.ndarray, center: np.ndarray, radius: float):
-    """Pick <= N+1 boundary points whose convex hull provably holds the center."""
-    # imported here: scipy.optimize dominates the package's import time, and
-    # 1-D balls never reach this point
-    from scipy.optimize import nnls
+def _hull_system(sub: np.ndarray, scale: float) -> np.ndarray:
+    """Columns are the candidate points over a row of ``scale``: weights ``w``
+    with ``a @ w == [center, scale]`` reproduce the center and sum to 1."""
+    return np.vstack([sub.T, np.ones(len(sub)) * scale])
 
+
+def _support(cand: np.ndarray, weights: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(i) for i in cand[weights > SUPPORT_WEIGHT_MIN])
+
+
+def _support_certificate(points: np.ndarray, center: np.ndarray, radius: float):
+    """Pick <= N+1 boundary points whose convex hull provably holds the center.
+
+    At most N+1 affinely independent candidates have unique weights, so one
+    least-squares solve finds them; negative weights are clipped to 0 and the
+    clipped combination must still meet the residual bound.  Any other
+    candidate set goes to nonnegative least squares.
+    """
     dists = np.sqrt(((points - center) ** 2).sum(axis=1))
     scale = max(1.0, radius)
-    tol = 1e-7 * scale
+    b = np.concatenate([center, [scale]])
+    cand = np.nonzero(dists >= radius - SUPPORT_BAND * scale)[0]
+    if cand.size <= points.shape[1] + 1:
+        a = _hull_system(points[cand], scale)
+        weights, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        weights = np.maximum(weights, 0.0)
+        resid = float(np.sqrt(((a @ weights - b) ** 2).sum()))
+        if rank == cand.size and resid <= HULL_TOL * scale:
+            return _support(cand, weights), resid
+    return _nnls_certificate(points, dists, radius, b, scale)
+
+
+def _nnls_certificate(points, dists, radius, b, scale):
+    """The certificate by nonnegative least squares, widening the candidate
+    band until the residual meets the bound."""
+    # imported here: scipy.optimize dominates the package's import time, and
+    # only cospherical candidate sets, or ones a support point's rounding
+    # left outside the first band, reach this point
+    from scipy.optimize import nnls
+
+    tol = SUPPORT_BAND * scale
     for _ in range(3):
         cand = np.nonzero(dists >= radius - tol)[0]
-        a = np.vstack([points[cand].T, np.ones(cand.size) * scale])
-        b = np.concatenate([center, [scale]])
-        weights, resid = nnls(a, b)
+        weights, resid = nnls(_hull_system(points[cand], scale), b)
         if resid <= HULL_TOL * scale:
-            chosen = cand[weights > 1e-12]
-            return tuple(int(i) for i in chosen), float(resid)
-        tol *= 100.0
+            return _support(cand, weights), float(resid)
+        tol *= SUPPORT_BAND_GROWTH
     raise InternalConsistencyError(
         f"could not certify the center inside its support hull (residual {resid!r})"
     )

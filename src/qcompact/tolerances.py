@@ -16,7 +16,21 @@ parameter:
   and ``verify_qsaa``.
 - ``HULL_TOL``: a Chebyshev ball must contain every point up to this
   distance, and its convex-hull certificate may leave this residual (times
-  ``max(1, radius)``).
+  ``max(1, radius)``).  The certificate is a nonnegative combination of
+  points on the ball's sphere, with weights summing to 1, that reproduces
+  the center: numpy solves for it when the candidates are at most N+1
+  affinely independent points, and nonnegative least squares when they are
+  cospherical (more than N+1, or affinely dependent).
+- ``SUPPORT_BAND``: the points within this distance (times
+  ``max(1, radius)``) of a Chebyshev ball's sphere are the candidates for its
+  support certificate.  When nonnegative least squares cannot meet
+  ``HULL_TOL`` on them, the band is widened by ``SUPPORT_BAND_GROWTH``, at
+  most twice.  The band covers the rounding of the computed center and
+  distances, which moves a point of the sphere off it; widening recovers a
+  support point that rounding moved further.
+- ``SUPPORT_WEIGHT_MIN``: a candidate whose certificate weight is at or
+  below this is left out of the support, so the support lists only the
+  points the combination really uses.
 - ``RESIDUAL_EPS``: the max-flow solver treats a residual capacity at or
   below this as saturated, so that it never augments along rounding residue.
   The flow it returns then falls short of the capacity of the cut it returns
@@ -39,6 +53,9 @@ MASS_SUM_TOL = 1e-9
 FLOW_TOL = 1e-9
 CERT_TOL = 1e-9
 HULL_TOL = 1e-9
+SUPPORT_BAND = 1e-7
+SUPPORT_BAND_GROWTH = 100.0
+SUPPORT_WEIGHT_MIN = 1e-12
 ORACLE_TOL = 1e-9
 RESIDUAL_EPS = 1e-15
 COORD_MATCH_RTOL = 1e-12

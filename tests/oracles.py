@@ -3,7 +3,8 @@
 Everything here is deliberately brute-force and shares no code with the
 package's solvers: subset enumeration instead of flows, dense time grids
 instead of knot analysis, exhaustive boundary-subset search instead of the
-minimal-ball recursion.
+minimal-ball recursion, nonnegative least squares alone instead of the ball
+certificate's numpy solve.
 """
 
 from __future__ import annotations
@@ -68,6 +69,32 @@ def _interp(knots, values, t):
     seg = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
     frac = (t - knots[seg]) / (knots[seg + 1] - knots[seg])
     return (1.0 - frac)[:, None] * values[seg] + frac[:, None] * values[seg + 1]
+
+
+def support_certificate_nnls(points, center, radius):
+    """Support certificate by nonnegative least squares alone.
+
+    The points within 1e-7 * max(1, radius) of the sphere are candidates;
+    nnls finds nonnegative weights summing to 1 whose combination of them is
+    the center, and the band widens by 100x, at most twice, until the
+    residual is at most 1e-9 * max(1, radius).  Returns the support (the
+    candidates with weight > 1e-12), the residual and the candidates.
+    """
+    from scipy.optimize import nnls
+
+    points = np.asarray(points, dtype=float)
+    dists = np.sqrt(((points - center) ** 2).sum(axis=1))
+    scale = max(1.0, radius)
+    tol = 1e-7 * scale
+    for _ in range(3):
+        cand = np.nonzero(dists >= radius - tol)[0]
+        a = np.vstack([points[cand].T, np.ones(cand.size) * scale])
+        b = np.concatenate([center, [scale]])
+        weights, resid = nnls(a, b)
+        if resid <= 1e-9 * scale:
+            return tuple(int(i) for i in cand[weights > 1e-12]), float(resid), cand
+        tol *= 100.0
+    raise AssertionError(f"nnls could not certify the center (residual {resid!r})")
 
 
 def meb_by_subsets(points) -> tuple[np.ndarray, float]:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 import qcompact
 from qcompact import InternalConsistencyError, chebyshev_center, jung_check, jung_ratio
 from qcompact import ball as ball_module
+from qcompact.tolerances import HULL_TOL
 
-from oracles import meb_by_subsets, meb_grid_1e6, meb_welzl_recursive
+from oracles import meb_by_subsets, meb_grid_1e6, meb_welzl_recursive, support_certificate_nnls
 
 
 def point_cloud(max_dim=3, max_points=7):
@@ -153,13 +155,115 @@ class TestPivoting:
             "c = chebyshev_center([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])\n"
             "print(len(c.support), c.hull_residual <= 1e-9)\n"
         )
-        src = os.path.dirname(os.path.dirname(qcompact.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        assert _run_python(code).split() == ["3", "True"]
+
+    @pytest.mark.parametrize("case", ["cheby", "cover-profile", "verify-qaa", "cube"])
+    def test_generic_balls_leave_scipy_unloaded(self, case, tmp_path):
+        # only a cospherical candidate set (the cube's 8 vertices) needs nnls
+        rng = np.random.default_rng(8)
+        if case == "verify-qaa":
+            values = np.cumsum(rng.standard_normal((12, 17, 3)) / 4.0, axis=1)
+            paths = [{"knots": np.linspace(0, 1, 17).tolist(), "values": v.tolist()} for v in values]
+            bound_m = math.ceil(np.sqrt((values**2).sum(axis=2)).max())
+            data = {"paths": paths}
+            args = ["--delta-grid", "0.1,0.2", "--bound-m", str(bound_m), "--eps", "0.05"]
+        elif case == "cube":
+            data = {"coords": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
+            args = []
+        else:
+            dim, k_max = (16, None) if case == "cheby" else (8, "6")
+            data = {"coords": rng.standard_normal((80, dim)).tolist()}
+            args = ["--k-max", k_max] if k_max else []
+        inp = tmp_path / "input.json"
+        inp.write_text(json.dumps(data))
+        command = "cheby" if case == "cube" else case
+        argv = [command, str(inp), *args, "--out", str(tmp_path / "report.json")]
+        code = (
+            "import sys\n"
+            "from qcompact.cli import main\n"
+            f"status = main({argv!r})\n"
+            "print(status, 'scipy' in sys.modules)\n"
         )
-        assert out.stdout.split() == ["3", "True"]
+        assert _run_python(code).split() == ["0", str(case == "cube")]
+
+
+def _run_python(code: str) -> str:
+    """stdout of ``python -c code`` in a fresh process that imports this qcompact."""
+    src = os.path.dirname(os.path.dirname(qcompact.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    return out.stdout
+
+
+class TestSupportCertificate:
+    @given(
+        st.sampled_from([2, 3, 8, 16]),
+        st.sampled_from([None, 0.5, 1.0, 1.5]),
+        st.integers(4, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_matches_nnls_oracle(self, dim, lattice, n, seed):
+        cloud = np.random.default_rng(seed).standard_normal((n, dim))
+        # coarse lattices put several points on one sphere, which nnls certifies
+        if lattice is not None:
+            cloud = np.round(cloud / lattice) * lattice
+        # unique sorted rows, so the certificate indexes the rows the oracle sees
+        pts = np.unique(cloud, axis=0)
+        out = chebyshev_center(pts)
+        want, want_resid, cand = support_certificate_nnls(pts, out.center, out.radius)
+        if cand.size <= dim + 1:
+            assert out.support == want
+        bound = HULL_TOL * max(1.0, out.radius)
+        assert out.hull_residual <= bound
+        assert want_resid <= bound
+        assert_certificate(pts, out)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)],
+            np.vstack([np.eye(16), -np.eye(16)]),
+        ],
+        ids=["square", "cube", "cross-polytope-16"],
+    )
+    def test_cospherical_input_goes_to_nnls(self, pts, monkeypatch):
+        calls = _count_nnls_calls(monkeypatch)
+        out = chebyshev_center(pts)
+        assert calls == [1]
+        assert_certificate(pts, out)
+
+    def test_clipped_residual_over_the_bound_goes_to_nnls(self, monkeypatch):
+        # (1 - 1e-6, 0) lies outside the first band: the two candidates left
+        # cannot reach the center, and the widened band adds the point back
+        pts = np.array([[-1.0, 0.0], [1.0 - 1e-6, 0.0], [0.0, 1.0]])
+        calls = _count_nnls_calls(monkeypatch)
+        support, resid = ball_module._support_certificate(pts, np.zeros(2), 1.0)
+        assert calls == [1]
+        assert support == (0, 1)
+        assert resid <= HULL_TOL
+
+    def test_generic_input_skips_nnls(self, monkeypatch):
+        calls = _count_nnls_calls(monkeypatch)
+        pts = np.random.default_rng(9).standard_normal((40, 8))
+        assert_certificate(pts, chebyshev_center(pts))
+        assert calls == []
+
+
+def _count_nnls_calls(monkeypatch) -> list:
+    calls = []
+    nnls_certificate = ball_module._nnls_certificate
+
+    def counted(*args):
+        calls.append(1)
+        return nnls_certificate(*args)
+
+    monkeypatch.setattr(ball_module, "_nnls_certificate", counted)
+    return calls
 
 
 class TestJung:
