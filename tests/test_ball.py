@@ -247,12 +247,6 @@ class TestSupportCertificate:
         assert support == (0, 1)
         assert resid <= HULL_TOL
 
-    def test_generic_input_skips_nnls(self, monkeypatch):
-        calls = _count_nnls_calls(monkeypatch)
-        pts = np.random.default_rng(9).standard_normal((40, 8))
-        assert_certificate(pts, chebyshev_center(pts))
-        assert calls == []
-
 
 def _count_nnls_calls(monkeypatch) -> list:
     calls = []
