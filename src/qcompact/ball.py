@@ -11,14 +11,15 @@ input size.  Each pivot strictly grows the radius, so the loop ends; a cap of
 ``InternalConsistencyError``.  The processing order is a fixed-seed shuffle
 of the lexicographically sorted unique points, so results do not depend on
 the order the caller supplies.  Every ball is then checked to contain every
-input point, and its center is certified inside the convex hull of its
-support: a nonnegative combination of sphere points, with weights summing to
-1, reproduces the center.  In the generic case the candidates are at most
-N+1 affinely independent points, the weights are unique, and one numpy
-least-squares solve finds them (the center's barycentric coordinates, as in
-Gärtner's paper).  Cospherical candidate sets (more than N+1 points, or
-affinely dependent ones) have no unique weights, and nonnegative least
-squares picks a combination; only they load ``scipy.optimize``.
+input point up to ``HULL_TOL * max(1, radius)``, and its center is certified
+inside the convex hull of its support: a nonnegative combination of sphere
+points, with weights summing to 1, reproduces the center.  In the generic
+case the candidates are at most N+1 affinely independent points, the weights
+are unique, and one numpy least-squares solve finds them (the center's
+barycentric coordinates, as in Gärtner's paper).  Cospherical candidate sets
+(more than N+1 points, or affinely dependent ones) have no unique weights,
+and nonnegative least squares picks a combination; only they load
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def chebyshev_center(points) -> BallCertificate:
     radius = math.sqrt(max(r2, 0.0))
 
     dmax = float(np.sqrt(((pts - center) ** 2).sum(axis=1)).max())
-    if dmax > radius + HULL_TOL:
+    if dmax > radius + HULL_TOL * max(1.0, radius):
         raise InternalConsistencyError(
             f"computed ball misses a point by {dmax - radius!r}"
         )

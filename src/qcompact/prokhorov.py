@@ -270,12 +270,17 @@ def check_alpha_block(p_mass, q_mass, dist, lam: float, alpha: float):
 
 @dataclass(frozen=True)
 class ProkhorovResult:
-    """Least feasible alpha for a given lam, with its coupling certificate."""
+    """Least feasible alpha for a given lam, with its coupling certificate.
+
+    ``breakpoints_scanned`` is the number of candidate breakpoints; the
+    search solved ``flows_solved`` flows for them, not counting networks an
+    earlier lam of the same sweep had solved, nor the recheck."""
 
     lam: float
     alpha_star: float
     certificate: CouplingCertificate
     breakpoints_scanned: int
+    flows_solved: int
 
 
 def prokhorov_distance(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float) -> ProkhorovResult:
@@ -296,13 +301,19 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     ``dist[i, j]`` from P-atom i to Q-atom j.
 
     Each lam gets its own breakpoint sweep.  On each interval between
-    consecutive breakpoints of ``d(i, j)/lam`` the feasibility graph, hence
-    the flow deficiency ``g``, is constant; alpha is feasible iff
+    consecutive breakpoints ``b_k`` of ``d(i, j)/lam`` the feasibility graph,
+    hence the flow deficiency ``g``, is constant; alpha is feasible iff
     ``g(alpha) <= alpha``.  ``g`` is nonincreasing, so the least index ``k*``
-    with ``g_k <= b_k`` is found by binary search and the answer is
-    ``b_{k*}`` unless the previous interval already contains its own feasible
-    point ``g_{k*-1}``.  The answer is rechecked by ``check_alpha_block``,
-    whose coupling is the certificate.
+    with ``g_k <= b_k`` lies in a bracket ``[lo, hi]`` that every probed
+    deficiency ``v = g_k`` narrows by value as well as by index: if ``k`` is
+    feasible, every ``b_j < v`` is infeasible, and if it is not, the first
+    ``b_j > v`` is feasible.  Each bound is padded by ``FLOW_TOL``, the flow's
+    own rounding budget, so that a deficiency off by rounding cannot cut
+    ``k*`` out of the bracket.  The next probe is the breakpoint at the
+    middle of the bracket's values, kept inside ``[lo, hi - 1]`` so that the
+    bracket always shrinks.  The answer is ``b_{k*}`` unless the previous
+    interval already contains its own feasible point ``g_{k*-1}``.  It is
+    rechecked by ``check_alpha_block``, whose coupling is the certificate.
 
     The sweeps share one memo of deficiencies, keyed on the number of allowed
     pairs.  That key names the edge set exactly: ``fl(d / lam)`` is monotone
@@ -325,6 +336,7 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     for lam in lambda_grid:
         d_over_lam = block / lam
         bps = np.unique(np.concatenate([[0.0], d_over_lam.ravel()]))
+        known = len(deficiency)
 
         def g(k: int) -> float:
             allowed = d_over_lam <= bps[k]
@@ -334,21 +346,24 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
                 deficiency[key] = max(0.0, 1.0 - value)
             return deficiency[key]
 
-        lo, hi = 0, len(bps) - 1
-        # invariant: g(hi) <= bps[hi] (the full edge set couples everything)
-        if g(lo) <= bps[lo]:
-            hi = lo
+        # invariant: lo <= k* <= hi (the full edge set couples everything)
+        lo, hi, mid = 0, len(bps) - 1, 0
         while lo < hi:
-            mid = (lo + hi) // 2
-            if g(mid) <= bps[mid]:
+            v = g(mid)
+            if v <= bps[mid]:
                 hi = mid
+                lo = max(lo, int(np.searchsorted(bps, v - FLOW_TOL, "left")))
             else:
                 lo = mid + 1
+                hi = min(hi, int(np.searchsorted(bps, v + FLOW_TOL, "right")))
+            mid = int(np.searchsorted(bps, (bps[lo] + bps[hi]) / 2))
+            mid = min(max(mid, lo), hi - 1)
         k_star = hi
         alpha_star = bps[k_star]
         if k_star > 0 and g(k_star - 1) < bps[k_star]:
             alpha_star = g(k_star - 1)
         alpha_star = float(alpha_star)
+        flows_solved = len(deficiency) - known
 
         cert = check_alpha_block(p_mass, q_mass, dist, lam, alpha_star)
         if not cert.feasible:
@@ -357,7 +372,11 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
             )
         results.append(
             ProkhorovResult(
-                lam=lam, alpha_star=alpha_star, certificate=cert, breakpoints_scanned=len(bps)
+                lam=lam,
+                alpha_star=alpha_star,
+                certificate=cert,
+                breakpoints_scanned=len(bps),
+                flows_solved=flows_solved,
             )
         )
     return results

@@ -4,6 +4,8 @@ sorted keys, atomic file writes, CSV tables, and input hashing.
 The standard json module cannot control float formatting, so a small
 recursive writer is used instead; identical in-memory reports therefore
 serialize to identical bytes, which the CLI relies on for reproducibility.
+Numeric arrays reduce to lists in one ``tolist`` call, and a list of floats
+is written in one join, since coupling matrices make up most of a report.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":
+            # tolist already gives Python bools, ints and floats
+            return obj.tolist()
         return to_jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
@@ -99,6 +104,15 @@ def _write_node(obj: Any, out: list, indent: int) -> None:
     elif isinstance(obj, list):
         if not obj:
             out.append("[]")
+            return
+        if all(type(v) is float for v in obj):
+            # a float row, the bulk of a coupling matrix: one join
+            if not all(map(math.isfinite, obj)):
+                for v in obj:
+                    format_float(v)  # raises on the first non-finite item
+            sep = ",\n" + pad + "  "
+            items = sep.join([format(v, ".17g") for v in obj])
+            out.append("[\n" + pad + "  " + items + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(obj):

@@ -10,13 +10,15 @@ parameter:
   certificate is rechecked against it (row and column sums, flow plus slack,
   slack against alpha, flow on pairs beyond ``lam * alpha``);
   ``check_alpha`` accepts a min-cut gap up to it; ``verify_qprokh`` compares
-  covering radii with it.
+  covering radii with it.  The breakpoint sweep pads the value bounds that a
+  solved deficiency puts on its search bracket by it, so a deficiency off by
+  rounding cannot cut the answer out of the bracket.
 - ``CERT_TOL``: slack of the hard assertions on path nets: the per-sample
   approximation bound of ``aa_net`` and the sandwich rows of ``verify_qaa``
   and ``verify_qsaa``.
 - ``HULL_TOL``: a Chebyshev ball must contain every point up to this
-  distance, and its convex-hull certificate may leave this residual (times
-  ``max(1, radius)``).  The certificate is a nonnegative combination of
+  distance, and its convex-hull certificate may leave this residual, both
+  times ``max(1, radius)`` so that the check scales with the coordinates.  The certificate is a nonnegative combination of
   points on the ball's sphere, with weights summing to 1, that reproduces
   the center: numpy solves for it when the candidates are at most N+1
   affinely independent points, and nonnegative least squares when they are

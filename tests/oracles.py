@@ -1,17 +1,26 @@
-"""Independent reference implementations used to freeze expected values.
+"""Reference implementations used to freeze expected values.
 
-Everything here is deliberately brute-force and shares no code with the
-package's solvers: subset enumeration instead of flows, dense time grids
+Most are deliberately brute-force and share no code with the package's
+solvers: subset enumeration instead of flows, dense time grids
 instead of knot analysis, exhaustive boundary-subset search instead of the
 minimal-ball recursion, nonnegative least squares alone instead of the ball
-certificate's numpy solve.
+certificate's numpy solve.  Two keep an earlier, simpler form of a package
+routine as the reference for a faster one: ``prokhorov_sweep_bisect`` (the
+index bisection, on the package's own flows and recheck) and
+``dumps_recursive`` (the report writer that formats one node at a time).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
+
+from qcompact.maxflow import transport_flow
+from qcompact.prokhorov import ProkhorovResult, check_alpha_block
 
 
 def tv_subsets(p_mass, q_mass) -> float:
@@ -241,3 +250,131 @@ def euclidean_all_pairs(coords) -> np.ndarray:
     d = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
+
+
+def prokhorov_sweep_bisect(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
+    """``prokhorov_sweep`` with a plain index bisection for ``k*``.
+
+    Same breakpoints, same deficiency memo keyed on the allowed-pair count,
+    same ``g(k*-1) < b_{k*}`` rule and recheck; only the search differs, so
+    the two agree bit for bit whenever the computed deficiencies are monotone
+    in k, and ``flows_solved`` compares the work of the two searches.
+    """
+    lambda_grid = [float(lam) for lam in lambda_grid]
+    sp = np.flatnonzero(p_mass > 0.0)
+    sq = np.flatnonzero(q_mass > 0.0)
+    block = dist[np.ix_(sp, sq)]
+    p_vec, q_vec = p_mass[sp], q_mass[sq]
+    deficiency: dict[int, float] = {}
+    results = []
+    for lam in lambda_grid:
+        d_over_lam = block / lam
+        bps = np.unique(np.concatenate([[0.0], d_over_lam.ravel()]))
+        known = len(deficiency)
+
+        def g(k: int) -> float:
+            allowed = d_over_lam <= bps[k]
+            key = int(np.count_nonzero(allowed))
+            if key not in deficiency:
+                _, value, _ = transport_flow(p_vec, q_vec, allowed)
+                deficiency[key] = max(0.0, 1.0 - value)
+            return deficiency[key]
+
+        lo, hi = 0, len(bps) - 1
+        if g(lo) <= bps[lo]:
+            hi = lo
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if g(mid) <= bps[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        alpha_star = bps[hi]
+        if hi > 0 and g(hi - 1) < bps[hi]:
+            alpha_star = g(hi - 1)
+        alpha_star = float(alpha_star)
+        flows_solved = len(deficiency) - known
+        cert = check_alpha_block(p_mass, q_mass, dist, lam, alpha_star)
+        if not cert.feasible:
+            raise AssertionError("bisection answer fails its recheck")
+        results.append(ProkhorovResult(lam, alpha_star, cert, len(bps), flows_solved))
+    return results
+
+
+def dumps_recursive(obj) -> str:
+    """The report writer one node at a time: arrays become nested lists that
+    are reduced item by item, and every float is formatted on its own."""
+
+    def jsonable(x):
+        if x is None or isinstance(x, (bool, str)):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return int(x)
+        if isinstance(x, (float, np.floating)):
+            return float(x)
+        if isinstance(x, np.ndarray):
+            return jsonable(x.tolist())
+        if dataclasses.is_dataclass(x) and not isinstance(x, type):
+            return {
+                f.name: jsonable(getattr(x, f.name))
+                for f in dataclasses.fields(x)
+                if f.metadata.get("report", True)
+            }
+        if hasattr(x, "to_dict"):
+            return jsonable(x.to_dict())
+        if isinstance(x, dict):
+            out = {}
+            for k, v in x.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"JSON object keys must be strings, got {k!r}")
+                out[k] = jsonable(v)
+            return out
+        if isinstance(x, (list, tuple, set, frozenset)):
+            items = sorted(x) if isinstance(x, (set, frozenset)) else x
+            return [jsonable(v) for v in items]
+        raise TypeError(f"cannot serialize object of type {type(x).__name__}")
+
+    def write(x, out, indent):
+        pad = "  " * indent
+        if x is None:
+            out.append("null")
+        elif x is True:
+            out.append("true")
+        elif x is False:
+            out.append("false")
+        elif isinstance(x, str):
+            out.append(json.dumps(x, ensure_ascii=True))
+        elif isinstance(x, int):
+            out.append(str(x))
+        elif isinstance(x, float):
+            if not math.isfinite(x):
+                raise ValueError(f"cannot serialize non-finite float {x!r}")
+            out.append(format(x, ".17g"))
+        elif isinstance(x, dict):
+            if not x:
+                out.append("{}")
+                return
+            out.append("{\n")
+            keys = sorted(x)
+            for i, k in enumerate(keys):
+                out.append(pad + "  " + json.dumps(k, ensure_ascii=True) + ": ")
+                write(x[k], out, indent + 1)
+                out.append(",\n" if i + 1 < len(keys) else "\n")
+            out.append(pad + "}")
+        elif isinstance(x, list):
+            if not x:
+                out.append("[]")
+                return
+            out.append("[\n")
+            for i, v in enumerate(x):
+                out.append(pad + "  ")
+                write(v, out, indent + 1)
+                out.append(",\n" if i + 1 < len(x) else "\n")
+            out.append(pad + "]")
+        else:
+            raise TypeError(f"cannot serialize object of type {type(x).__name__}")
+
+    out: list = []
+    write(jsonable(obj), out, 0)
+    out.append("\n")
+    return "".join(out)

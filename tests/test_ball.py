@@ -30,19 +30,21 @@ def point_cloud(max_dim=3, max_points=7):
 
 
 def assert_certificate(pts, out):
-    """Every point inside, support on the sphere, center in the support hull."""
+    """Every point inside, support on the sphere, center in the support hull,
+    each up to a bound that scales with ``max(1, radius)``."""
     from scipy.optimize import nnls
 
     arr = np.asarray(pts, dtype=float)
+    scale = max(1.0, out.radius)
     dists = np.linalg.norm(arr - out.center, axis=1)
-    assert (dists <= out.radius + 1e-9).all()
+    assert (dists <= out.radius + 1e-9 * scale).all()
     assert len(out.support) <= arr.shape[1] + 1
     for i in out.support:
-        assert dists[i] == pytest.approx(out.radius, abs=1e-7)
-    assert out.hull_residual <= 1e-9
+        assert dists[i] == pytest.approx(out.radius, abs=1e-7 * scale)
+    assert out.hull_residual <= 1e-9 * scale
     sup = arr[list(out.support)]
     _, resid = nnls(np.vstack([sup.T, np.ones(len(sup))]), np.append(out.center, 1.0))
-    assert resid <= 1e-9 * max(1.0, out.radius)
+    assert resid <= 1e-9 * scale
 
 
 class TestChebyshevCenter:
@@ -116,6 +118,27 @@ class TestChebyshevCenter:
         base = chebyshev_center(pts)
         scaled = chebyshev_center(np.asarray(pts) * scale)
         assert scaled.radius == pytest.approx(scale * base.radius, rel=1e-9, abs=1e-12)
+
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+    def test_large_coordinates_certify(self, scale):
+        """Containment is checked relative to the radius, like the hull
+        residual: at 1e9 one ulp of a coordinate is already 1.2e-7."""
+        pts = np.random.default_rng(1).standard_normal((50, 3)) * scale
+        assert_certificate(pts, chebyshev_center(pts))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e9, 1e12])
+    def test_shrunk_ball_is_rejected(self, scale, monkeypatch):
+        solve = ball_module._pivot_ball
+
+        def shrunk(work, dim):
+            center, r2 = solve(work, dim)
+            return center, r2 * (1.0 - 1e-6) ** 2
+
+        monkeypatch.setattr(ball_module, "_pivot_ball", shrunk)
+        pts = np.random.default_rng(1).standard_normal((50, 3)) * scale
+        with pytest.raises(InternalConsistencyError, match="misses a point"):
+            chebyshev_center(pts)
 
 
 class TestPivoting:

@@ -22,10 +22,11 @@ from qcompact import (
     tv_distance,
     verify_qprokh,
 )
+from qcompact import prokhorov as prokhorov_module
 from qcompact.errors import InternalConsistencyError
 from qcompact.prokhorov import check_alpha_block
 
-from oracles import feasible_by_subsets, tv_subsets
+from oracles import feasible_by_subsets, prokhorov_sweep_bisect, tv_subsets
 
 
 def two_point_space(d=1.0):
@@ -468,6 +469,88 @@ class TestProkhorovDistances:
         grid = [1.0, 1.9]
         got = [r.alpha_star for r in prokhorov_distances(P, Q, grid)]
         assert got == [prokhorov_distance(P, Q, lam).alpha_star for lam in grid]
+
+
+@st.composite
+def tie_prone_block(draw):
+    """A block between up to 12 P-atoms and 12 Q-atoms on the integer or the
+    1/8 lattice of the plane, so that distances tie with each other and with
+    deficiencies; masses uniform, multiples of 1/D, or sparse Dirichlet."""
+    step = draw(st.sampled_from([1.0, 0.125]))
+    coord = st.integers(0, 8).map(lambda i: i * step)
+
+    def atoms():
+        n = draw(st.integers(1, 12))
+        return np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+
+    def mass(n):
+        kind = draw(st.sampled_from(["uniform", "1/D", "dirichlet"]))
+        if kind == "uniform":
+            return np.full(n, 1.0 / n)
+        if kind == "1/D":
+            counts = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=float)
+            counts[draw(st.integers(0, n - 1))] += 1.0
+            return counts / counts.sum()
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = rng.dirichlet(np.full(n, 0.3))
+        w[rng.random(n) < 0.3] = 0.0
+        w[rng.integers(n)] += 1e-3
+        return w / w.sum()
+
+    xp, xq = atoms(), atoms()
+    dist = np.sqrt(((xp[:, None, :] - xq[None, :, :]) ** 2).sum(axis=2))
+    return mass(len(xp)), mass(len(xq)), dist
+
+
+class TestSweepSearch:
+    @given(tie_prone_block(), st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_matches_the_index_bisection(self, block, grid):
+        """The value-bracketed search finds the bisection's breakpoint, so
+        the answer and its certificate are the same bits."""
+        p, q, dist = block
+        got = prokhorov_sweep(p, q, dist, grid)
+        for res, ref in zip(got, prokhorov_sweep_bisect(p, q, dist, grid), strict=True):
+            assert res.alpha_star == ref.alpha_star
+            assert res.certificate.flow.tobytes() == ref.certificate.flow.tobytes()
+            assert res.certificate.slack_mass == ref.certificate.slack_mass
+            assert res.breakpoints_scanned == ref.breakpoints_scanned
+
+    def test_rounded_deficiency_keeps_the_answer_in_the_bracket(self):
+        """At lam = 3 the deficiency is 1/6 on breakpoints 6 and 7 but is
+        computed as 0.16666666666666663 and 0.16666666666666674, and
+        breakpoint 7 is 0.5/3 = 0.16666666666666666: the infeasible probe at
+        6 may not take breakpoint 7 for the first one above its deficiency.
+        The FLOW_TOL pad keeps k* = 8, where the bisection finds it."""
+        xp = np.array([[2, 3], [2, 5], [8, 2], [5, 1]]) / 8
+        xq = np.array([[1, 8], [1, 3], [5, 3], [3, 0], [2, 7], [4, 6], [3, 5], [2, 3]]) / 8
+        dist = np.sqrt(((xp[:, None, :] - xq[None, :, :]) ** 2).sum(axis=2))
+        p = np.array([2, 3, 3, 2]) / 10
+        q = np.array([2, 1, 4, 0, 4, 1, 4, 2]) / 18
+        (got,) = prokhorov_sweep(p, q, dist, [3.0])
+        (ref,) = prokhorov_sweep_bisect(p, q, dist, [3.0])
+        assert got.alpha_star == ref.alpha_star == 0.16666666666666674
+        assert got.certificate.flow.tobytes() == ref.certificate.flow.tobytes()
+
+    def test_flows_solved_counts_new_networks_only(self, monkeypatch):
+        """``flows_solved`` is the memo's growth for each lam: the recheck is
+        left out, and a repeated lam solves nothing."""
+        rng = np.random.default_rng(3)
+        p, q = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(30))
+        dist = np.sqrt(((rng.random((30, 1, 2)) - rng.random((1, 30, 2))) ** 2).sum(axis=2))
+        calls = [0]
+        solve = prokhorov_module.transport_flow
+
+        def counted(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(prokhorov_module, "transport_flow", counted)
+        first, again = prokhorov_sweep(p, q, dist, [1.0, 1.0])
+        assert first.flows_solved > 0
+        assert again.flows_solved == 0
+        assert calls[0] == first.flows_solved + 2
+        assert again.alpha_star == first.alpha_star
 
 
 class TestBlockForm:

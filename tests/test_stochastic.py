@@ -24,7 +24,7 @@ from qcompact import stochastic as stochastic_module
 from qcompact.serialize import to_jsonable
 from qcompact.stochastic import PATH_CHUNK
 
-from oracles import path_metric_per_row
+from oracles import path_metric_per_row, prokhorov_sweep_bisect
 
 
 def const(c):
@@ -378,3 +378,18 @@ class TestVerifyQsaaWork:
         assert report.n_unique_paths > 30
         assert 0.0 < path_prokhorov(xi[0], xi[1], 1.0) <= 1.0
         assert built == []
+
+
+class TestSweepWork:
+    def test_value_bracketing_solves_fewer_flows_than_bisection(self):
+        """A 400-point planar Dirichlet pair at lam = 1, as ``prokhorov-dist``
+        gets it: the same answer from strictly fewer flows."""
+        rng = np.random.default_rng(400)
+        x = rng.random((400, 2))
+        dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        p, q = rng.dirichlet(np.ones(400)), rng.dirichlet(np.ones(400))
+        (got,) = prokhorov_sweep(p, q, dist, [1.0])
+        (ref,) = prokhorov_sweep_bisect(p, q, dist, [1.0])
+        assert got.alpha_star == ref.alpha_star
+        assert got.certificate.flow.tobytes() == ref.certificate.flow.tobytes()
+        assert got.flows_solved < ref.flows_solved
