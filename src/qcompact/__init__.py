@@ -17,7 +17,6 @@ from .paths import (
     PLPath,
     QAAReport,
     aa_net,
-    lattice_points,
     modulus,
     mu_uec_family,
     uniform_distance,
@@ -92,7 +91,6 @@ __all__ = [
     "modulus",
     "mu_uec_family",
     "aa_net",
-    "lattice_points",
     "AANet",
     "verify_qaa",
     "QAAReport",

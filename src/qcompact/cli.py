@@ -114,12 +114,6 @@ def _as_pos_int(value, name: str) -> int:
     return k
 
 
-def _as_bool(value, name: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise CLIError(f"{name}: expected true or false")
-
-
 def _validate_params(command: str, raw: dict) -> dict:
     spec = COMMANDS[command].params
     _reject_unknown(raw, spec, f"params for {command}")
@@ -369,14 +363,7 @@ def _run_jung_check(cfg: RunConfig):
 def _run_aa_net(cfg: RunConfig):
     family = _load_family(cfg.inputs["family"])
     p = cfg.params
-    net = aa_net(
-        family,
-        p["delta"],
-        p["alpha"],
-        p["bound_m"],
-        p["eps"],
-        materialize_lattice=p.get("list_lattice", False),
-    )
+    net = aa_net(family, p["delta"], p["alpha"], p["bound_m"], p["eps"])
     table = [(i, s.achieved, s.bound) for i, s in enumerate(net.per_sample)]
     return {"net": net}, table, EXIT_OK
 
@@ -435,9 +422,9 @@ def _run_gen_walks(cfg: RunConfig):
 class Command:
     """One subcommand: the flag parser, config validation and dispatch all
     read it.  ``params`` maps each parameter to ``(validator, required)``;
-    its flag is ``--`` plus the name with ``_`` as ``-``, and an ``_as_bool``
-    parameter is a ``store_true`` switch.  ``csv`` is the CSV header (empty:
-    JSON only).  Without ``envelope`` the results are the whole output."""
+    its flag is ``--`` plus the name with ``_`` as ``-``.  ``csv`` is the CSV
+    header (empty: JSON only).  Without ``envelope`` the results are the
+    whole output."""
 
     help: str
     run: Callable[[RunConfig], tuple]
@@ -498,7 +485,6 @@ COMMANDS: dict[str, Command] = {
             "alpha": (_as_nonneg_real, True),
             "bound_m": (_as_pos_real, True),
             "eps": (_as_pos_real, True),
-            "list_lattice": (_as_bool, False),
         },
         csv=("sample", "achieved", "bound"),
     ),
@@ -609,12 +595,9 @@ def build_parser() -> _Parser:
         _add_common(sub)
         for role, is_list in command.inputs:
             sub.add_argument(role, nargs="+" if is_list else None)
-        for param, (validator, required) in command.params.items():
+        for param, (_, required) in command.params.items():
             flag = "--" + param.replace("_", "-")
-            if validator is _as_bool:
-                sub.add_argument(flag, action="store_true", dest=param)
-            else:
-                sub.add_argument(flag, required=required, dest=param)
+            sub.add_argument(flag, required=required, dest=param)
     return parser
 
 

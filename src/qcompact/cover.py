@@ -85,25 +85,22 @@ def cover_profile(dist, k_max: int, coords=None) -> CoverProfile:
         if coords.shape[0] != n:
             raise ValueError("coords must have one row per point")
 
+    # r_k is the farthest distance from the first k picks, which the next
+    # pick attains; from k = n on every point is a center and r_k = 0
     picks = [0]
+    radii = [0.0] * k_max
     mind = d[0].copy()
-    pick_limit = min(n, k_max + 1)
-    while len(picks) < pick_limit:
+    while len(picks) < min(n, k_max + 1):
+        radii[len(picks) - 1] = float(mind.max())
         nxt = int(np.argmax(mind))
         picks.append(nxt)
         mind = np.minimum(mind, d[nxt])
 
     entries = []
-    mind = d[0].copy()
     amb_prev = np.inf
-    for k in range(1, k_max + 1):
-        if k > 1 and k <= len(picks):
-            mind = np.minimum(mind, d[picks[k - 1]])
-        centers = tuple(picks[:min(k, len(picks))])
-        radius = float(mind.max()) if k <= n else 0.0
-        if k >= n:
-            radius = 0.0
-        witness = tuple(picks[: k + 1]) if k + 1 <= len(picks) else tuple(picks)
+    for k, radius in enumerate(radii, start=1):
+        centers = tuple(picks[:k])
+        witness = tuple(picks[: k + 1])
         if len(witness) >= k + 1:
             sep = min(
                 d[a, b] for a, b in itertools.combinations(witness, 2)

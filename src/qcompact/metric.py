@@ -85,9 +85,9 @@ class FiniteMetricSpace:
     arrays are write-protected.
     """
 
-    __slots__ = ("points", "dist", "coords")
+    __slots__ = ("dist", "coords")
 
-    def __init__(self, dist=None, *, coords=None, points=None, validate_triangle=True):
+    def __init__(self, dist=None, *, coords=None, validate_triangle=True):
         if dist is None and coords is None:
             raise ValueError("FiniteMetricSpace needs a distance matrix or coordinates")
         if coords is not None:
@@ -121,14 +121,7 @@ class FiniteMetricSpace:
             raise ValueError("dist must be nonnegative")
         if validate_triangle:
             _check_triangle(dist, TRIANGLE_SLACK * max(1.0, float(dist.max())))
-        if points is None:
-            points = list(range(n))
-        else:
-            points = list(points)
-            if len(points) != n:
-                raise ValueError("points labels must match the matrix size")
         dist.setflags(write=False)
-        object.__setattr__(self, "points", points)
         object.__setattr__(self, "dist", dist)
         if coords is not None:
             if coords.shape[0] != n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,13 +27,9 @@ __all__ = [
     "mu_uec_family",
     "AANet",
     "aa_net",
-    "lattice_points",
     "QAAReport",
     "verify_qaa",
 ]
-
-#: explicit lattice listings refuse to enumerate more points than this
-LATTICE_CAP = 10**7
 
 
 class PLPath:
@@ -197,7 +193,6 @@ class AANet:
     per_sample: tuple[PerSample, ...]
     sampling_slack: float
     grid_points: np.ndarray
-    lattice: Optional[np.ndarray] = None
 
     @property
     def certified_bound(self) -> float:
@@ -262,32 +257,12 @@ def _window_balls(x: PLPath, windows) -> tuple[np.ndarray, np.ndarray]:
     return ((mins + maxs) / 2.0)[:, None], (maxs - mins) / 2.0
 
 
-def lattice_points(pitch: float, bound: float, n_dim: int) -> np.ndarray:
-    """Axis lattice of the given pitch intersected with the closed ball of
-    radius ``bound``; refuses enumerations above 10^7 raw grid points."""
-    if pitch <= 0.0 or bound < 0.0:
-        raise ValueError("pitch must be > 0 and bound >= 0")
-    per_axis = 2 * math.floor(bound / pitch) + 1
-    if per_axis**n_dim > LATTICE_CAP:
-        need = (2.0 * bound) / (LATTICE_CAP ** (1.0 / n_dim) - 1.0)
-        raise ValueError(
-            f"lattice listing would enumerate {per_axis**n_dim} points "
-            f"(cap {LATTICE_CAP}); increase the pitch to at least {need!r}"
-        )
-    half = math.floor(bound / pitch)
-    axes = [np.arange(-half, half + 1) * pitch for _ in range(n_dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n_dim)
-    keep = (mesh * mesh).sum(axis=1) <= bound * bound + 1e-12
-    return mesh[keep]
-
-
 def aa_net(
     family: Sequence[PLPath],
     delta: float,
     alpha: float,
     bound_m: float,
     eps: float,
-    materialize_lattice: bool = False,
 ) -> AANet:
     """Build the interpolation net for a uniformly bounded, equicontinuous
     family of PL paths.
@@ -362,9 +337,6 @@ def aa_net(
         )
 
     grid_points = np.unique(np.concatenate([m.values for m in members]), axis=0)
-    lattice = None
-    if materialize_lattice:
-        lattice = lattice_points(pitch, 3.0 * bound_m + eps, n_dim)
     return AANet(
         delta=delta,
         alpha=alpha,
@@ -378,7 +350,6 @@ def aa_net(
         per_sample=tuple(per_sample),
         sampling_slack=0.0,
         grid_points=grid_points,
-        lattice=lattice,
     )
 
 

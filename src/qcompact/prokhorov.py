@@ -58,9 +58,6 @@ __all__ = [
     "verify_qprokh",
 ]
 
-#: largest net the construction will materialize in full
-NET_SIZE_CAP = 10**6
-
 
 def probability_vector(values, what: str = "masses") -> np.ndarray:
     """``values`` validated and renormalized to total exactly 1, read-only.
@@ -571,11 +568,10 @@ def diameter_partition(space: FiniteMetricSpace, max_diam: float) -> list[IndexS
 class ProkhorovNet:
     """A finite measure net covering a family within tightness defect + eps.
 
-    ``mode`` is "full" when the whole simplex net over the cell
-    representatives was materialized (at most 10^6 measures), else "rounded"
-    and ``measures`` holds one rounded measure per input family member.  In
-    both modes ``assigned[i]`` is the rounded companion of family member i
-    (in full mode it also appears in ``measures``).
+    The net is every measure that puts whole multiples of ``1/m_grain`` on the
+    cell representatives (and the complement representative, if any).  It is
+    counted, not listed: ``full_size`` is its size, and ``assigned[i]`` is the
+    net measure that family member i is rounded to, its companion.
     """
 
     lam: float
@@ -584,9 +580,7 @@ class ProkhorovNet:
     representatives: tuple[int, ...]
     complement_rep: Optional[int]
     m_grain: int
-    mode: str
     full_size: int
-    measures: tuple[DiscreteMeasure, ...]
     assigned: tuple[DiscreteMeasure, ...]
 
     @property
@@ -626,13 +620,15 @@ def prokhorov_net(
     partition: Sequence[IndexSet],
     t_gamma_bound: float,
 ) -> ProkhorovNet:
-    """Build the grained measure net over cell representatives.
+    """Count the grained measure net over cell representatives and round
+    every family member onto it.
 
     Requires pairwise-disjoint cells of diameter strictly below ``lam*eps``
     and a caller-supplied tightness bound ``t_gamma_bound`` with
     ``P(outside the partition) <= t_gamma_bound + eps/2`` for every family
     member (checked, rejected otherwise).  Every family member then has a net
-    measure within ``t_gamma_bound + eps`` in lam-Prokhorov distance.
+    measure within ``t_gamma_bound + eps`` in lam-Prokhorov distance: its
+    companion in ``assigned``.  Only the companions are built.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -683,27 +679,6 @@ def prokhorov_net(
     assigned = tuple(
         _rounded_member(P, partition, reps, comp_rep, m) for P in family
     )
-
-    if full_size <= NET_SIZE_CAP:
-        mode = "full"
-        all_reps = list(reps) + ([comp_rep] if comp_rep is not None else [])
-        measures = []
-        for cut in itertools.combinations(range(m + n_reps - 1), n_reps - 1):
-            grains = []
-            prev = -1
-            for c in cut:
-                grains.append(c - prev - 1)
-                prev = c
-            grains.append(m + n_reps - 2 - prev)
-            mass = np.zeros(space.n_points)
-            for rep, g_ in zip(all_reps, grains):
-                mass[rep] += g_ / m
-            measures.append(DiscreteMeasure(space, mass))
-        measures = tuple(measures)
-    else:
-        mode = "rounded"
-        measures = assigned
-
     return ProkhorovNet(
         lam=lam,
         eps=eps,
@@ -711,9 +686,7 @@ def prokhorov_net(
         representatives=tuple(reps),
         complement_rep=comp_rep,
         m_grain=m,
-        mode=mode,
         full_size=full_size,
-        measures=measures,
         assigned=assigned,
     )
 
@@ -728,7 +701,6 @@ class QProkhLambdaRow:
     lam: float
     n_cells: int
     m_grain: int
-    net_mode: str
     net_full_size: int
     per_member_rho: tuple[float, ...]
     covering_radius: float
@@ -809,7 +781,6 @@ def verify_qprokh(
                 lam=lam,
                 n_cells=len(partition),
                 m_grain=net.m_grain,
-                net_mode=net.mode,
                 net_full_size=net.full_size,
                 per_member_rho=rhos,
                 covering_radius=covering,

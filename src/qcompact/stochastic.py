@@ -20,7 +20,7 @@ import numpy as np
 
 from .cover import covering_radius
 from .metric import FiniteMetricSpace
-from .paths import PLPath, aa_net, modulus, uniform_distance
+from .paths import PLPath, aa_net, modulus
 from .prokhorov import probability_vector, prokhorov_sweep
 from .tolerances import CERT_TOL
 
@@ -399,19 +399,16 @@ def verify_qsaa(
     net = aa_net(kept, delta_star, alpha_kept, max(m_star, 1e-9), eps / 2.0)
     r_net = net.covering_achieved
 
-    # nearest member for every unique path (identity member for kept ones)
-    member_of = np.empty(len(unique), dtype=int)
-    for u, x in enumerate(unique):
-        if u in kept_pos:
-            member_of[u] = net.per_sample[kept_pos[u]].member_index
-        else:
-            dists = [uniform_distance(x, m) for m in net.members]
-            member_of[u] = int(np.argmin(dists))
+    # each kept path goes to its own member, each discarded one to the
+    # nearest member along its row of the unique-path x member block
+    dist = path_distances(unique, net.members)
+    member_of = np.argmin(dist, axis=1)
+    for u, pos in kept_pos.items():
+        member_of[u] = net.per_sample[pos].member_index
 
     # alpha[i, j, k]: ensemble i's law on the unique paths against candidate
     # j's law on the net members at lambda_grid[k]; one sweep per pair solves
     # each flow network once across the whole grid
-    dist = path_distances(unique, net.members)
     parts = np.split(np.array(where), np.cumsum([e.n_paths for e in ensembles])[:-1])
     laws = [_law(u, e.weights, len(unique)) for e, u in zip(ensembles, parts)]
     candidates = [_law(member_of[u], e.weights, len(net.members)) for e, u in zip(ensembles, parts)]

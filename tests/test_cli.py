@@ -425,6 +425,21 @@ class TestConfigMode:
         assert main(["--config", cfg]) == 1
         assert "threads" in capsys.readouterr().err
 
+    def test_list_lattice_is_rejected(self, files, capsys):
+        args = ["--delta", "0.5", "--alpha", "0.5", "--bound-m", "1", "--eps", "0.1"]
+        assert main(["aa-net", files["family"], *args, "--list-lattice"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --list-lattice\n"
+        cfg = write_json(
+            files["dir"] / "lattice_cfg.json",
+            {"command": "aa-net", "inputs": {"family": "family.json"},
+             "params": {"delta": 0.5, "alpha": 0.5, "bound_m": 1, "eps": 0.1,
+                        "list_lattice": True}},
+        )
+        assert main(["--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: params for aa-net: unknown field 'list_lattice'\n"
+        )
+
     def test_config_inputs_resolve_relative_to_config(self, files, tmp_path):
         sub = tmp_path / "elsewhere"
         sub.mkdir()

@@ -1,10 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name a module exports resolves.
 
 No linter ships with the package, so this parses each module with ``ast``.
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the unused-import check: its imports are the
+package's re-exports.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,13 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom typing import Optional, Sequence\nx: Sequence = math.pi\n"
     assert unused_imports(source) == ["line 2: Optional"]
+
+
+@pytest.mark.parametrize(
+    "name", ["qcompact", *(f"qcompact.{p.stem}" for p in MODULES)]
+)
+def test_exports_resolve_once(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [n for n, c in Counter(exported).items() if c > 1] == []
+    assert [n for n in exported if not hasattr(module, n)] == []

@@ -9,7 +9,6 @@ from qcompact import (
     PLPath,
     aa_net,
     jung_ratio,
-    lattice_points,
     modulus,
     chebyshev_center,
     mu_uec_family,
@@ -309,16 +308,6 @@ class TestAANet:
         limit = jung_ratio(2) * alpha + 0.05
         for s in net.per_sample:
             assert s.achieved <= limit + 1e-9
-
-
-class TestLatticePoints:
-    def test_small_lattice_enumerates(self):
-        pts = lattice_points(0.5, 1.0, 1)
-        assert sorted(pts.ravel().tolist()) == [-1.0, -0.5, 0.0, 0.5, 1.0]
-
-    def test_oversized_lattice_suggests_pitch(self):
-        with pytest.raises(ValueError, match="pitch"):
-            lattice_points(1e-4, 1.0, 3)
 
 
 class TestVerifyQAA:

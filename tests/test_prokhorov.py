@@ -322,9 +322,28 @@ class TestProkhorovNet:
         sp = FiniteMetricSpace(np.zeros((1, 1)))
         P = DiscreteMeasure.dirac(sp, 0)
         net = prokhorov_net([P], 1.0, 1.0, [IndexSet.of([0])], 0.0)
-        assert net.mode == "full"
-        assert any(np.allclose(Q.mass, P.mass) for Q in net.measures)
+        assert net.full_size == 1
+        assert np.array_equal(net.assigned[0].mass, P.mass)
         assert prokhorov_distance(P, net.assigned[0], 1.0).alpha_star <= 1.0
+
+    def test_net_is_counted_not_listed(self, monkeypatch):
+        """Five cells at grain 20 make a net of 10,626 measures; only each
+        member's companion is built."""
+        rng = np.random.default_rng(5)
+        sp = FiniteMetricSpace(coords=10.0 * np.arange(5.0))
+        family = [DiscreteMeasure(sp, rng.dirichlet(np.ones(5))) for _ in range(3)]
+        built = []
+        init = DiscreteMeasure.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
+        cells = diameter_partition(sp, 0.5)
+        net = prokhorov_net(family, 1.0, 0.5, cells, 0.0)
+        assert (len(cells), net.m_grain, net.full_size) == (5, 20, 10626)
+        assert len(built) <= len(family)
 
     def test_two_point_rounding_example(self):
         sp = two_point_space(0.1)
