@@ -30,14 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .tolerances import HULL_TOL, SUPPORT_BAND, SUPPORT_BAND_GROWTH, SUPPORT_WEIGHT_MIN
+from .tolerances import (
+    HULL_TOL,
+    INSIDE_ABS,
+    INSIDE_REL,
+    SUPPORT_BAND,
+    SUPPORT_BAND_GROWTH,
+    SUPPORT_WEIGHT_MIN,
+)
 
 __all__ = ["BallCertificate", "chebyshev_center", "jung_ratio", "JungCheck", "jung_check"]
 
 MAX_DIM = 16
-
-#: multiplicative slack in the squared-radius membership test
-_INSIDE_REL = 3e-13
 
 _SHUFFLE_SEED = 0x5EB
 
@@ -84,12 +88,10 @@ def _circumball(boundary: list[np.ndarray]):
     return center, r2
 
 
-def _inside(ball, p) -> bool:
-    if ball is None:
-        return False
-    c, r2 = ball
-    d2 = float(((p - c) ** 2).sum())
-    return d2 <= r2 * (1.0 + _INSIDE_REL) + 1e-30
+def _inside(d2, r2):
+    """Whether squared distances ``d2`` (a scalar or an array) to a ball's
+    center lie within its squared radius ``r2``, up to rounding."""
+    return d2 <= r2 * (1.0 + INSIDE_REL) + INSIDE_ABS
 
 
 def _welzl(pts: np.ndarray, i: int, boundary: list[np.ndarray], dim: int):
@@ -99,7 +101,7 @@ def _welzl(pts: np.ndarray, i: int, boundary: list[np.ndarray], dim: int):
         return _circumball(boundary), boundary
     ball, basis = _welzl(pts, i + 1, boundary, dim)
     p = pts[i]
-    if _inside(ball, p):
+    if ball is not None and _inside(float(((p - ball[0]) ** 2).sum()), ball[1]):
         return ball, basis
     return _welzl(pts, i + 1, boundary + [p], dim)
 
@@ -114,7 +116,7 @@ def _pivot_ball(work: np.ndarray, dim: int):
         center, r2 = ball
         d2 = ((work - center) ** 2).sum(axis=1)
         far = int(np.argmax(d2))
-        if d2[far] <= r2 * (1.0 + _INSIDE_REL) + 1e-30:
+        if _inside(d2[far], r2):
             return ball
         basis, boundary = np.stack(support), [work[far]]
     raise InternalConsistencyError(
@@ -235,8 +237,9 @@ class JungCheck:
     diameter_pair: tuple[int, int]
 
 
-def jung_check(points, tol: float = 1e-9) -> JungCheck:
-    """Check diam/2 <= radius <= sqrt(N/(2N+2)) * diam on a point set.
+def jung_check(points) -> JungCheck:
+    """Check diam/2 <= radius <= sqrt(N/(2N+2)) * diam on a point set, up to
+    ``HULL_TOL * max(1, radius)``, the slack of the ball's containment check.
 
     A violation (ok=False) would indicate a bug in the ball computation, so
     callers should treat it as a hard failure; the witness data is returned
@@ -258,7 +261,8 @@ def jung_check(points, tol: float = 1e-9) -> JungCheck:
     cert = chebyshev_center(pts)
     lower = diameter / 2.0
     upper = jung_ratio(dim) * diameter
-    ok = (lower - tol <= cert.radius) and (cert.radius <= upper + tol)
+    slack = HULL_TOL * max(1.0, cert.radius)
+    ok = (lower - slack <= cert.radius) and (cert.radius <= upper + slack)
     return JungCheck(
         diameter=diameter,
         radius=cert.radius,

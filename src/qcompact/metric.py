@@ -115,8 +115,7 @@ class FiniteMetricSpace:
         if (np.diag(dist) != 0.0).any():
             raise ValueError("dist must have a zero diagonal")
         if not np.array_equal(dist, dist.T):
-            if np.abs(dist - dist.T).max() > 0.0:
-                raise ValueError("dist must be symmetric")
+            raise ValueError("dist must be symmetric")
         if (dist < 0.0).any():
             raise ValueError("dist must be nonnegative")
         if validate_triangle:
@@ -146,18 +145,22 @@ class FiniteMetricSpace:
         vals = self.dist[iu]
         return np.unique(vals[vals > 0.0])
 
-    def same_as(self, other: "FiniteMetricSpace", atol: float = 1e-12) -> bool:
+    def same_as(self, other: "FiniteMetricSpace") -> bool:
+        """Whether the two distance matrices agree up to ``COORD_MATCH_RTOL``
+        times ``max(1, larger diameter)``, the rounding the constructor
+        allows between a given matrix and its coordinates."""
         if self is other:
             return True
         if self.n_points != other.n_points:
             return False
-        return bool(np.abs(self.dist - other.dist).max(initial=0.0) <= atol)
+        scale = max(1.0, self.diameter(), other.diameter())
+        return bool(np.abs(self.dist - other.dist).max() <= COORD_MATCH_RTOL * scale)
 
     def __repr__(self):
         return f"FiniteMetricSpace(n_points={self.n_points})"
 
     @classmethod
-    def from_dict(cls, obj: dict, *, validate_triangle: bool = True) -> "FiniteMetricSpace":
+    def from_dict(cls, obj: dict) -> "FiniteMetricSpace":
         """Build a space from a JSON-style dict with ``coords`` or ``dist``."""
         if not isinstance(obj, dict):
             raise ValueError("space must be a JSON object")
@@ -166,11 +169,7 @@ class FiniteMetricSpace:
             raise ValueError(f"space: unknown field {sorted(unknown)[0]!r}")
         if "coords" not in obj and "dist" not in obj:
             raise ValueError("space: need 'coords' or 'dist'")
-        return cls(
-            obj.get("dist"),
-            coords=obj.get("coords"),
-            validate_triangle=validate_triangle,
-        )
+        return cls(obj.get("dist"), coords=obj.get("coords"))
 
     def to_dict(self) -> dict:
         if self.coords is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ball import chebyshev_center, jung_ratio
 from .errors import InternalConsistencyError
-from .tolerances import CERT_TOL
+from .tolerances import CERT_TOL, PATH_BOUND_SLACK, TIME_SLACK
 
 __all__ = [
     "PLPath",
@@ -136,10 +136,10 @@ def modulus(x: PLPath, delta: float) -> float:
         if b_hi > a + 1:
             s_list.append(np.full(b_hi - a - 1, t[a]))
             t_list.append(t[a + 1 : b_hi])
-    mask = t + delta <= 1.0 + 1e-15
+    mask = t + delta <= 1.0 + TIME_SLACK
     s_list.append(t[mask])
     t_list.append(np.minimum(t[mask] + delta, 1.0))
-    mask = t - delta >= -1e-15
+    mask = t - delta >= -TIME_SLACK
     s_list.append(np.maximum(t[mask] - delta, 0.0))
     t_list.append(t[mask])
     s_all = np.concatenate(s_list)
@@ -283,16 +283,16 @@ def aa_net(
         raise ValueError("delta, eps, and the norm bound must be > 0")
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    if alpha > 2.0 * bound_m + 1e-12:
+    if alpha > 2.0 * bound_m + PATH_BOUND_SLACK:
         raise ValueError("alpha cannot exceed twice the norm bound")
     n_dim = family[0].n_dim
     for i, x in enumerate(family):
         if x.n_dim != n_dim:
             raise ValueError(f"path {i} has dimension {x.n_dim}, expected {n_dim}")
-        if x.sup_norm > bound_m + 1e-12:
+        if x.sup_norm > bound_m + PATH_BOUND_SLACK:
             raise ValueError(f"path {i} has sup norm {x.sup_norm!r} > {bound_m!r}")
         osc = modulus(x, delta)
-        if osc > alpha + 1e-12:
+        if osc > alpha + PATH_BOUND_SLACK:
             raise ValueError(
                 f"path {i} has oscillation {osc!r} > alpha = {alpha!r} at delta"
             )
@@ -313,7 +313,7 @@ def aa_net(
         values = centers[np.arange(grid_times.size) // 2]
         snapped = np.round(values / pitch) * pitch
         norms = np.sqrt((snapped * snapped).sum(axis=1))
-        if norms.max(initial=0.0) > 3.0 * bound_m + eps + 1e-9:
+        if norms.max(initial=0.0) > 3.0 * bound_m + eps + CERT_TOL:
             raise InternalConsistencyError("snapped net value escaped the 3M ball")
         key = snapped.tobytes()
         if key in member_keys:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .maxflow import transport_flow
 from .metric import FiniteMetricSpace, IndexSet, close_pairs, closed_neighborhood
-from .tolerances import FLOW_TOL, MASS_SUM_TOL
+from .tolerances import FLOW_TOL, MASS_ROUND_TOL, MASS_SUM_TOL, ORACLE_BISECT_TOL
 
 __all__ = [
     "probability_vector",
@@ -62,14 +62,15 @@ __all__ = [
 def probability_vector(values, what: str = "masses") -> np.ndarray:
     """``values`` validated and renormalized to total exactly 1, read-only.
 
-    Entries must be finite and nonnegative (entries down to -1e-12 are taken
-    as 0), and their total must lie within ``MASS_SUM_TOL`` of 1 before it is
-    divided out.  ``what`` names the entries in error messages.
+    Entries must be finite and nonnegative (entries down to
+    ``-MASS_ROUND_TOL`` are taken as 0), and their total must lie within
+    ``MASS_SUM_TOL`` of 1 before it is divided out.  ``what`` names the
+    entries in error messages.
     """
     values = np.array(values, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite")
-    if values.min(initial=0.0) < -1e-12:
+    if values.min(initial=0.0) < -MASS_ROUND_TOL:
         raise ValueError(f"{what} must be nonnegative")
     values = np.maximum(values, 0.0)
     total = float(values.sum())
@@ -132,6 +133,15 @@ def _require_same_space(P: DiscreteMeasure, Q: DiscreteMeasure) -> FiniteMetricS
     return P.space
 
 
+def _require_family_space(family: Sequence[DiscreteMeasure]) -> FiniteMetricSpace:
+    """The space every member of a nonempty family lives on."""
+    space = family[0].space
+    for m in family[1:]:
+        if not space.same_as(m.space):
+            raise ValueError("family measures live on different spaces")
+    return space
+
+
 def tv_distance(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     """Total variation distance sum_i max(P_i - Q_i, 0) = sup_A |P(A) - Q(A)|."""
     _require_same_space(P, Q)
@@ -146,7 +156,7 @@ class CouplingCertificate:
     ``q_support[b]`` (row and column indices of the distance block); every
     positive entry sits on a pair within distance ``lam * alpha``.
     ``slack_mass`` is the uncoupled remainder, at most ``alpha`` up to the
-    1e-9 residual budget.
+    ``FLOW_TOL`` residual budget.
     """
 
     lam: float
@@ -160,27 +170,28 @@ class CouplingCertificate:
     def feasible(self) -> bool:
         return True
 
-    def validate(self, P: DiscreteMeasure, Q: DiscreteMeasure, tol: float = FLOW_TOL) -> None:
-        """Re-check every certificate invariant against P and Q; raises on failure."""
-        self.validate_block(P.mass, Q.mass, _require_same_space(P, Q).dist, tol)
+    def validate(self, P: DiscreteMeasure, Q: DiscreteMeasure) -> None:
+        """Re-check every certificate invariant against P and Q, up to
+        ``FLOW_TOL``; raises on failure."""
+        self.validate_block(P.mass, Q.mass, _require_same_space(P, Q).dist)
 
-    def validate_block(self, p_mass, q_mass, dist, tol: float = FLOW_TOL) -> None:
+    def validate_block(self, p_mass, q_mass, dist) -> None:
         """``validate`` on a problem in block form."""
         sp = np.array(self.p_support, dtype=int)
         sq = np.array(self.q_support, dtype=int)
-        if self.flow.min(initial=0.0) < -tol:
+        if self.flow.min(initial=0.0) < -FLOW_TOL:
             raise InternalConsistencyError("negative flow entry")
-        if (self.flow.sum(axis=1) - p_mass[sp] > tol).any():
+        if (self.flow.sum(axis=1) - p_mass[sp] > FLOW_TOL).any():
             raise InternalConsistencyError("flow row sums exceed P masses")
-        if (self.flow.sum(axis=0) - q_mass[sq] > tol).any():
+        if (self.flow.sum(axis=0) - q_mass[sq] > FLOW_TOL).any():
             raise InternalConsistencyError("flow column sums exceed Q masses")
         total = float(self.flow.sum())
-        if abs(total + self.slack_mass - 1.0) > tol:
+        if abs(total + self.slack_mass - 1.0) > FLOW_TOL:
             raise InternalConsistencyError("flow plus slack does not add to 1")
-        if self.slack_mass > self.alpha + tol:
+        if self.slack_mass > self.alpha + FLOW_TOL:
             raise InternalConsistencyError("slack mass exceeds alpha")
         beyond = ~close_pairs(dist[np.ix_(sp, sq)], self.lam, self.alpha)
-        if (self.flow[beyond] > tol).any():
+        if (self.flow[beyond] > FLOW_TOL).any():
             raise InternalConsistencyError("positive flow on a pair beyond lam*alpha")
 
 
@@ -203,13 +214,15 @@ class ViolationCertificate:
     def gap(self) -> float:
         return self.p_mass - self.q_inflated_mass - self.alpha
 
-    def validate(self, P: DiscreteMeasure, Q: DiscreteMeasure, tol: float = FLOW_TOL) -> None:
-        self.validate_block(P.mass, Q.mass, _require_same_space(P, Q).dist, tol)
+    def validate(self, P: DiscreteMeasure, Q: DiscreteMeasure) -> None:
+        """Re-check the set's masses against P and Q, up to ``FLOW_TOL``, and
+        that it violates; raises on failure."""
+        self.validate_block(P.mass, Q.mass, _require_same_space(P, Q).dist)
 
-    def validate_block(self, p_mass, q_mass, dist, tol: float = FLOW_TOL) -> None:
+    def validate_block(self, p_mass, q_mass, dist) -> None:
         """``validate`` on a problem in block form."""
         pm, qm = _cut_masses(p_mass, q_mass, dist, self.subset.to_array(), self.lam, self.alpha)
-        if abs(pm - self.p_mass) > tol or abs(qm - self.q_inflated_mass) > tol:
+        if abs(pm - self.p_mass) > FLOW_TOL or abs(qm - self.q_inflated_mass) > FLOW_TOL:
             raise InternalConsistencyError("violation certificate masses are stale")
         if pm - qm - self.alpha <= 0.0:
             raise InternalConsistencyError("claimed violating set does not violate")
@@ -379,10 +392,9 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     return results
 
 
-def prokhorov_oracle(
-    P: DiscreteMeasure, Q: DiscreteMeasure, lam: float, tol: float = 1e-10
-) -> float:
-    """Brute-force reference value: enumerate all 2^n subsets, bisect on alpha.
+def prokhorov_oracle(P: DiscreteMeasure, Q: DiscreteMeasure, lam: float) -> float:
+    """Brute-force reference value: enumerate all 2^n subsets, bisect on alpha
+    to ``ORACLE_BISECT_TOL``.
 
     Exponential in the number of points; refuses spaces above 16 points.
     Independent of the sweep/flow machinery, so the two can cross-check
@@ -409,7 +421,7 @@ def prokhorov_oracle(
     if worst_gap(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > ORACLE_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if worst_gap(mid) <= mid:
             hi = mid
@@ -474,10 +486,7 @@ def mu_ut(family: Sequence[DiscreteMeasure], eps_grid, k_max: int) -> MuUtResult
     """
     if not family:
         raise ValueError("family must be nonempty")
-    space = family[0].space
-    for m in family[1:]:
-        if not space.same_as(m.space):
-            raise ValueError("family measures live on different spaces")
+    space = _require_family_space(family)
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or any(e <= 0.0 for e in eps_grid):
         raise ValueError("eps_grid must be nonempty and positive")
@@ -632,10 +641,7 @@ def prokhorov_net(
     """
     if not family:
         raise ValueError("family must be nonempty")
-    space = family[0].space
-    for m_ in family[1:]:
-        if not space.same_as(m_.space):
-            raise ValueError("family measures live on different spaces")
+    space = _require_family_space(family)
     lam = float(lam)
     eps = float(eps)
     t_gamma_bound = float(t_gamma_bound)
@@ -663,7 +669,7 @@ def prokhorov_net(
     complement = sorted(set(range(space.n_points)) - seen)
     outside = [1.0 - sum(P.prob(c) for c in partition) for P in family]
     worst_outside = max(outside)
-    if worst_outside > t_gamma_bound + eps / 2.0 + 1e-12:
+    if worst_outside > t_gamma_bound + eps / 2.0 + MASS_ROUND_TOL:
         raise ValueError(
             f"t_gamma_bound={t_gamma_bound!r} is violated: a family member puts "
             f"{worst_outside!r} outside the partition (> bound + eps/2)"

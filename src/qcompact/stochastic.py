@@ -22,7 +22,7 @@ from .cover import covering_radius
 from .metric import FiniteMetricSpace
 from .paths import PLPath, aa_net, modulus
 from .prokhorov import probability_vector, prokhorov_sweep
-from .tolerances import CERT_TOL
+from .tolerances import CERT_TOL, NORM_BOUND_FLOOR
 
 __all__ = [
     "PathEnsemble",
@@ -396,7 +396,7 @@ def verify_qsaa(
             "trimming discarded every path; enlarge the norm or oscillation grids"
         )
     alpha_kept = float(osc_u[list(kept_pos)].max())
-    net = aa_net(kept, delta_star, alpha_kept, max(m_star, 1e-9), eps / 2.0)
+    net = aa_net(kept, delta_star, alpha_kept, max(m_star, NORM_BOUND_FLOOR), eps / 2.0)
     r_net = net.covering_achieved
 
     # each kept path goes to its own member, each discarded one to the

@@ -9,16 +9,32 @@ parameter:
 - ``FLOW_TOL``: residual budget of the max-flow arithmetic.  A coupling
   certificate is rechecked against it (row and column sums, flow plus slack,
   slack against alpha, flow on pairs beyond ``lam * alpha``);
-  ``check_alpha`` accepts a min-cut gap up to it; ``verify_qprokh`` compares
-  covering radii with it.  The breakpoint sweep pads the value bounds that a
-  solved deficiency puts on its search bracket by it, so a deficiency off by
-  rounding cannot cut the answer out of the bracket.
+  ``check_alpha_block`` accepts a min-cut gap up to it; ``verify_qprokh``
+  compares covering radii with it.  The breakpoint sweep pads the value
+  bounds that a solved deficiency puts on its search bracket by it, so a
+  deficiency off by rounding cannot cut the answer out of the bracket.
+- ``MASS_ROUND_TOL``: rounding allowed in a single mass: ``probability_vector``
+  takes entries down to ``-MASS_ROUND_TOL`` as 0, and ``prokhorov_net``
+  accepts a family member's mass outside the partition (1 minus a sum of
+  cell masses) up to this above ``t_gamma_bound + eps/2``.
 - ``CERT_TOL``: slack of the hard assertions on path nets: the per-sample
-  approximation bound of ``aa_net`` and the sandwich rows of ``verify_qaa``
-  and ``verify_qsaa``.
+  approximation bound of ``aa_net``, the 3M norm bound on its snapped
+  values, and the sandwich rows of ``verify_qaa`` and ``verify_qsaa``.
+- ``PATH_BOUND_SLACK``: ``aa_net``'s preconditions (each path's sup norm at
+  most ``bound_m``, its oscillation at most ``alpha``, and ``alpha`` at most
+  ``2 * bound_m``) each hold up to this, so that bounds read off the family
+  itself pass.
+- ``NORM_BOUND_FLOOR``: ``verify_qsaa`` gives ``aa_net`` at least this as the
+  norm bound, which must be positive, also when the kept paths are all zero
+  (a norm level M* of 0).
+- ``TIME_SLACK``: ``modulus`` keeps the windows of width ``delta`` that
+  start or end at a knot while they reach past [0, 1] by at most this, the
+  rounding of ``t + delta`` and ``t - delta`` on knot times.
 - ``HULL_TOL``: a Chebyshev ball must contain every point up to this
   distance, and its convex-hull certificate may leave this residual, both
-  times ``max(1, radius)`` so that the check scales with the coordinates.  The certificate is a nonnegative combination of
+  times ``max(1, radius)`` so that the check scales with the coordinates.
+  ``jung_check`` compares the radius with ``diam/2`` and the Jung bound up
+  to the same slack.  The certificate is a nonnegative combination of
   points on the ball's sphere, with weights summing to 1, that reproduces
   the center: numpy solves for it when the candidates are at most N+1
   affinely independent points, and nonnegative least squares when they are
@@ -33,18 +49,26 @@ parameter:
 - ``SUPPORT_WEIGHT_MIN``: a candidate whose certificate weight is at or
   below this is left out of the support, so the support lists only the
   points the combination really uses.
+- ``INSIDE_REL``, ``INSIDE_ABS``: the ball solver counts a point inside a
+  candidate ball when its squared distance to the center is at most
+  ``r2 * (1 + INSIDE_REL) + INSIDE_ABS`` (``r2`` the squared radius), so
+  that the points that define a ball, which lie on its sphere up to the
+  rounding of the center, count as inside it.
 - ``RESIDUAL_EPS``: the max-flow solver treats a residual capacity at or
   below this as saturated, so that it never augments along rounding residue.
   The flow it returns then falls short of the capacity of the cut it returns
   by at most this value times the number of edges that cut crosses (at most
   |P| + |Q| + |P||Q|), which stays below ``FLOW_TOL`` up to 10^6 edges.
 - ``ORACLE_TOL``: largest disagreement the CLI accepts between the breakpoint
-  sweep and the subset-enumeration oracle on small spaces (the oracle
-  bisects to 1e-10).
+  sweep and the subset-enumeration oracle on small spaces.
+- ``ORACLE_BISECT_TOL``: ``prokhorov_oracle`` bisects on alpha until its
+  bracket is at most this wide, well inside ``ORACLE_TOL``.
 - ``COORD_MATCH_RTOL``: a distance matrix given together with Euclidean
   coordinates must agree with the distances recomputed from them up to this
   times ``max(1, largest recomputed distance)``: room for the rounding of a
   differently ordered sum of squares and square root, not for another metric.
+  ``same_as`` takes two spaces as the same when their matrices agree up to
+  this times ``max(1, larger diameter)``.
 - ``TRIANGLE_SLACK``: a space is accepted when
   ``d(i,j) <= d(i,k) + d(k,j) + TRIANGLE_SLACK * max(1, diameter)`` for
   every triple, so that matrices that were themselves computed in floating
@@ -52,13 +76,20 @@ parameter:
 """
 
 MASS_SUM_TOL = 1e-9
+MASS_ROUND_TOL = 1e-12
 FLOW_TOL = 1e-9
 CERT_TOL = 1e-9
+PATH_BOUND_SLACK = 1e-12
+NORM_BOUND_FLOOR = 1e-9
+TIME_SLACK = 1e-15
 HULL_TOL = 1e-9
 SUPPORT_BAND = 1e-7
 SUPPORT_BAND_GROWTH = 100.0
 SUPPORT_WEIGHT_MIN = 1e-12
+INSIDE_REL = 3e-13
+INSIDE_ABS = 1e-30
 ORACLE_TOL = 1e-9
+ORACLE_BISECT_TOL = 1e-10
 RESIDUAL_EPS = 1e-15
 COORD_MATCH_RTOL = 1e-12
 TRIANGLE_SLACK = 1e-9

@@ -75,7 +75,7 @@ def test_c01_prokhorov_matches_bruteforce_oracle():
         P, Q = random_measure(rng, space), random_measure(rng, space)
         for lam in (0.25, 1.0, 4.0):
             got = prokhorov_distance(P, Q, lam).alpha_star
-            want = prokhorov_oracle(P, Q, lam, tol=1e-10)
+            want = prokhorov_oracle(P, Q, lam)
             worst = max(worst, abs(got - want))
             assert abs(got - want) <= 1e-9
     print(f"\n  c1: worst |flow - oracle| = {worst:.3e} over 600 evaluations")

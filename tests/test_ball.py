@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -325,6 +326,27 @@ class TestJung:
         assert chk.ok
         assert chk.lower <= chk.radius + 1e-9
         assert chk.radius <= chk.upper + 1e-9
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+    def test_large_coordinates_pass(self, scale):
+        """The sandwich is checked up to ``HULL_TOL * max(1, radius)``: at 1e9
+        a two-point radius can fall below diam/2 by 6e-8 from rounding."""
+        for seed in range(60):
+            pts = np.random.default_rng(seed).standard_normal((2, 2)) * scale
+            assert jung_check(pts).ok, seed
+        assert jung_check(np.random.default_rng(1).standard_normal((50, 3)) * scale).ok
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e9, 1e12])
+    def test_shrunk_radius_fails(self, scale, monkeypatch):
+        solve = ball_module.chebyshev_center
+
+        def shrunk(points):
+            cert = solve(points)
+            return dataclasses.replace(cert, radius=cert.radius * (1.0 - 1e-6))
+
+        monkeypatch.setattr(ball_module, "chebyshev_center", shrunk)
+        pts = np.random.default_rng(0).standard_normal((2, 2)) * scale
+        assert not jung_check(pts).ok
 
     @given(point_cloud(max_dim=3, max_points=8))
     @settings(max_examples=40)

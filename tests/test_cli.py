@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qcompact.cli import _load_measures, main
@@ -120,6 +121,13 @@ class TestHappyPaths:
 
     def test_jung_check(self, files, tmp_path):
         rc, env = run_json(["jung-check", files["points"]], tmp_path / "o.json")
+        assert rc == 0
+        assert env["results"]["jung"]["ok"] is True
+
+    def test_jung_check_at_large_coordinates(self, tmp_path):
+        pts = np.random.default_rng(0).standard_normal((2, 2)) * 1e9
+        points = write_json(tmp_path / "pts.json", {"coords": pts.tolist()})
+        rc, env = run_json(["jung-check", points], tmp_path / "o.json")
         assert rc == 0
         assert env["results"]["jung"]["ok"] is True
 
@@ -329,6 +337,21 @@ class TestInlineSpaces:
         rc = main(["tv-dist", p, q, "--out", str(tmp_path / "o.json")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {q}: space differs from {p}\n"
+
+    def test_distance_file_and_inline_coordinates_at_large_scale(self, tmp_path):
+        """A space given by its rounded distances matches the same points
+        given inline as coordinates, up to the rounding at their scale."""
+        c = np.random.default_rng(0).standard_normal((6, 2)) * 1e6
+        d = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
+        write_json(tmp_path / "d.json", {"dist": d.tolist()})
+        mass = [1.0 / 6] * 6
+        p = write_json(tmp_path / "p.json", {"space": "d.json", "mass": mass})
+        q = write_json(
+            tmp_path / "q.json", {"space": {"coords": c.tolist()}, "mass": [1.0] + [0.0] * 5}
+        )
+        rc, payload = run_json(["tv-dist", p, q], tmp_path / "o.json")
+        assert rc == 0
+        assert payload["results"]["tv"] == pytest.approx(5.0 / 6)
 
     def test_space_file_and_identical_inline_copy_load_together(self, files, tmp_path):
         inline = write_json(

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name a module exports resolves.
+"""Every name a package module imports is used in that module, every name
+a module exports resolves, and no module but ``tolerances.py`` writes a
+tolerance-sized float literal.
 
 No linter ships with the package, so this parses each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are the
@@ -31,6 +32,18 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def tolerance_literals(source: str) -> list[str]:
+    """Float constants ``x`` with ``0 < |x| < 1e-6``: rounding budgets, which
+    belong in ``tolerances.py`` under a name that says what they bound."""
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-6
+    ]
+
+
 def test_modules_are_found():
     assert {"prokhorov.py", "stochastic.py", "metric.py"} <= {p.name for p in MODULES}
 
@@ -43,6 +56,20 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom typing import Optional, Sequence\nx: Sequence = math.pi\n"
     assert unused_imports(source) == ["line 2: Optional"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "tolerances.py"),
+    ids=lambda p: p.name,
+)
+def test_no_tolerance_literals(path):
+    assert tolerance_literals(path.read_text()) == []
+
+
+def test_detects_a_tolerance_literal():
+    source = "x = 1e-6 + 2.5\nif y > x - 1e-12:\n    z = f(3e-13, 10)\n"
+    assert tolerance_literals(source) == ["line 2: 1e-12", "line 3: 3e-13"]
 
 
 @pytest.mark.parametrize(

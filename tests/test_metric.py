@@ -68,6 +68,18 @@ class TestFiniteMetricSpace:
         again = FiniteMetricSpace.from_dict(sp.to_dict())
         assert sp.same_as(again)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+    def test_same_as_scales_like_the_constructor(self, scale):
+        """A matrix the constructor accepts against coordinates is the same
+        space as the coordinates, however large they are."""
+        c = np.random.default_rng(0).standard_normal((6, 2)) * scale
+        d = np.hypot(*(c[:, None, k] - c[None, :, k] for k in range(2)))
+        FiniteMetricSpace(d, coords=c)
+        assert FiniteMetricSpace(d).same_as(FiniteMetricSpace(coords=c))
+        moved = c.copy()
+        moved[0, 0] += 1e-6 * scale
+        assert not FiniteMetricSpace(d).same_as(FiniteMetricSpace(coords=moved))
+
 
 def random_matrix(kind: str, n: int, rng) -> np.ndarray:
     """An exactly symmetric, zero-diagonal, nonnegative n x n matrix."""
