@@ -10,7 +10,7 @@ be rechecked without rerunning the solver.
 
 from .ball import BallCertificate, JungCheck, chebyshev_center, jung_check, jung_ratio
 from .cover import CoverProfile, cover_profile, covering_radius, exact_kcenter
-from .errors import InternalConsistencyError, QCompactError, VerificationError
+from .errors import InternalConsistencyError, QCompactError
 from .metric import FiniteMetricSpace, IndexSet, inflate, open_ball
 from .paths import (
     AANet,
@@ -106,7 +106,6 @@ __all__ = [
     "verify_qsaa",
     "QSAAReport",
     "QCompactError",
-    "VerificationError",
     "InternalConsistencyError",
     "__version__",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ball import chebyshev_center, jung_check
 from .cover import cover_profile
-from .errors import InternalConsistencyError, VerificationError
+from .errors import InternalConsistencyError
 from .metric import FiniteMetricSpace
 from .paths import PLPath, aa_net, modulus, verify_qaa
 from .prokhorov import (
@@ -203,10 +203,11 @@ def _load_json(path: str):
 
 
 def _parse(build, obj, where: str):
-    """``build(obj)``, with a ValueError reported as bad input at ``where``."""
+    """``build(obj)``, with a TypeError or ValueError reported as bad input at
+    ``where``."""
     try:
         return build(obj)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CLIError(f"{where}: {exc}")
 
 
@@ -243,7 +244,7 @@ def _load_measures(paths: list[str]) -> list[DiscreteMeasure]:
     cache: dict = {}
     measures = [_load_measure(p, cache) for p in paths]
     for m, p in zip(measures[1:], paths[1:]):
-        if m.space is not measures[0].space and not m.space.same_as(measures[0].space):
+        if not m.space.same_as(measures[0].space):
             raise CLIError(f"{p}: space differs from {paths[0]}")
     return measures
 
@@ -253,7 +254,7 @@ def _load_coords(path: str) -> np.ndarray:
     if not isinstance(obj, dict) or "coords" not in obj:
         raise CLIError(f"{path}: need a 'coords' array")
     _reject_unknown(obj, {"coords"}, path)
-    coords = np.asarray(obj["coords"], dtype=float)
+    coords = _parse(lambda c: np.asarray(c, dtype=float), obj["coords"], path)
     if coords.ndim == 1:
         coords = coords[:, None]
     if coords.ndim != 2 or coords.shape[0] == 0 or not np.isfinite(coords).all():
@@ -627,13 +628,15 @@ def main(argv=None) -> int:
             parser = _Parser(prog="qcompact")
             parser.add_argument("--config", required=True)
             _add_common(parser)
+            # a flag left out keeps the config file's value
+            parser.set_defaults(format=None)
             args = parser.parse_args(argv)
             cfg = load_config_file(args.config)
             if args.out is not None:
                 cfg.out = args.out
             if args.seed is not None:
                 cfg.seed = args.seed
-            if "--format" in argv or any(a.startswith("--format=") for a in argv):
+            if args.format is not None:
                 cfg.format = args.format
         else:
             parser = build_parser()
@@ -646,7 +649,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (VerificationError, InternalConsistencyError) as exc:
+    except InternalConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except ValueError as exc:

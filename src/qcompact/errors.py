@@ -5,13 +5,9 @@ class QCompactError(Exception):
     """Base class for toolkit-specific failures."""
 
 
-class VerificationError(QCompactError):
+class InternalConsistencyError(QCompactError):
     """A certified invariant failed to hold.
 
     This signals an implementation bug or a genuinely violated claim, not a
     malformed input (malformed inputs raise ValueError).
     """
-
-
-class InternalConsistencyError(VerificationError):
-    """Numerical residuals exceeded the internal tolerance budget."""

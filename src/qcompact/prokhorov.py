@@ -548,7 +548,7 @@ def mu_ut(family: Sequence[DiscreteMeasure], eps_grid, k_max: int) -> MuUtResult
 
 
 # ---------------------------------------------------------------------------
-# finite nets that cover a family within its tightness defect
+# finite nets that cover a family within eps
 # ---------------------------------------------------------------------------
 
 
@@ -575,68 +575,47 @@ def diameter_partition(space: FiniteMetricSpace, max_diam: float) -> list[IndexS
 
 @dataclass(frozen=True)
 class ProkhorovNet:
-    """A finite measure net covering a family within tightness defect + eps.
+    """A finite measure net covering a family within eps.
 
     The net is every measure that puts whole multiples of ``1/m_grain`` on the
-    cell representatives (and the complement representative, if any).  It is
-    counted, not listed: ``full_size`` is its size, and ``assigned[i]`` is the
-    net measure that family member i is rounded to, its companion.
+    cell representatives.  It is counted, not listed: ``full_size`` is its
+    size, and ``assigned[i]`` is the net measure that family member i is
+    rounded to, its companion.
     """
 
     lam: float
     eps: float
-    t_gamma_bound: float
     representatives: tuple[int, ...]
-    complement_rep: Optional[int]
     m_grain: int
     full_size: int
     assigned: tuple[DiscreteMeasure, ...]
 
-    @property
-    def covering_target(self) -> float:
-        return self.t_gamma_bound + self.eps
-
 
 def _rounded_member(
-    P: DiscreteMeasure,
-    cells: Sequence[IndexSet],
-    reps: Sequence[int],
-    comp_rep: Optional[int],
-    m: int,
+    P: DiscreteMeasure, cells: Sequence[IndexSet], reps: Sequence[int], m: int
 ) -> DiscreteMeasure:
     """Round P onto the representatives with per-cell error below 1/m."""
     cell_mass = np.array([P.prob(c) for c in cells])
     k = np.floor(m * cell_mass).astype(int)
+    # hand the remainder to the cells with the largest fractional parts, one
+    # grain each (keeps P(A_i) <= k_i/m + 1/m)
     spare = m - int(k.sum())
+    frac = m * cell_mass - k
+    k[np.argsort(-frac, kind="stable")[:spare]] += 1
     mass = np.zeros(P.space.n_points)
-    if comp_rep is not None:
-        mass[comp_rep] += spare / m
-    elif spare > 0:
-        # no complement: hand the remainder to the cells with the largest
-        # fractional parts, one grain each (keeps P(A_i) <= k_i/m + 1/m)
-        frac = m * cell_mass - k
-        for idx in np.argsort(-frac, kind="stable")[:spare]:
-            k[idx] += 1
-    for rep, grains in zip(reps, k):
-        mass[rep] += grains / m
+    mass[reps] = k / m
     return DiscreteMeasure(P.space, mass)
 
 
-def prokhorov_net(
-    family: Sequence[DiscreteMeasure],
-    lam: float,
-    eps: float,
-    partition: Sequence[IndexSet],
-    t_gamma_bound: float,
-) -> ProkhorovNet:
-    """Count the grained measure net over cell representatives and round
-    every family member onto it.
+def prokhorov_net(family: Sequence[DiscreteMeasure], lam: float, eps: float) -> ProkhorovNet:
+    """Count the grained measure net over the cells of
+    ``diameter_partition(space, lam*eps)`` and round every family member
+    onto it.
 
-    Requires pairwise-disjoint cells of diameter strictly below ``lam*eps``
-    and a caller-supplied tightness bound ``t_gamma_bound`` with
-    ``P(outside the partition) <= t_gamma_bound + eps/2`` for every family
-    member (checked, rejected otherwise).  Every family member then has a net
-    measure within ``t_gamma_bound + eps`` in lam-Prokhorov distance: its
+    The paper's net lives on a compact set carrying all but the tightness
+    defect of each member's mass; on a finite space that set is the whole
+    space and the defect is 0.  The cells cover every point, so every family
+    member has a net measure within ``eps`` in lam-Prokhorov distance: its
     companion in ``assigned``.  Only the companions are built.
     """
     if not family:
@@ -644,56 +623,20 @@ def prokhorov_net(
     space = _require_family_space(family)
     lam = float(lam)
     eps = float(eps)
-    t_gamma_bound = float(t_gamma_bound)
     if lam <= 0.0 or eps <= 0.0:
         raise ValueError("lam and eps must be > 0")
-    if t_gamma_bound < 0.0:
-        raise ValueError("t_gamma_bound must be >= 0")
-    if not partition:
-        raise ValueError("partition must be nonempty")
 
-    seen: set[int] = set()
-    for cell in partition:
-        cell.validate_for(space)
-        if not len(cell):
-            raise ValueError("empty partition cell")
-        if seen & set(cell.members):
-            raise ValueError("partition cells are not disjoint")
-        seen |= set(cell.members)
-        idx = cell.to_array()
-        diam = float(space.dist[np.ix_(idx, idx)].max())
-        if diam >= lam * eps:
-            raise ValueError(
-                f"partition cell with diameter {diam!r} >= lam*eps = {lam * eps!r}"
-            )
-    complement = sorted(set(range(space.n_points)) - seen)
-    outside = [1.0 - sum(P.prob(c) for c in partition) for P in family]
-    worst_outside = max(outside)
-    if worst_outside > t_gamma_bound + eps / 2.0 + MASS_ROUND_TOL:
-        raise ValueError(
-            f"t_gamma_bound={t_gamma_bound!r} is violated: a family member puts "
-            f"{worst_outside!r} outside the partition (> bound + eps/2)"
-        )
-
-    n_cells = len(partition)
+    cells = diameter_partition(space, lam * eps)
+    n_cells = len(cells)
     m = max(1, math.ceil(2.0 * n_cells / eps))
-    reps = [cell.members[0] for cell in partition]
-    comp_rep = complement[0] if complement else None
-    n_reps = n_cells + (1 if comp_rep is not None else 0)
-    full_size = math.comb(m + n_reps - 1, n_reps - 1)
-
-    assigned = tuple(
-        _rounded_member(P, partition, reps, comp_rep, m) for P in family
-    )
+    reps = [cell.members[0] for cell in cells]
     return ProkhorovNet(
         lam=lam,
         eps=eps,
-        t_gamma_bound=t_gamma_bound,
         representatives=tuple(reps),
-        complement_rep=comp_rep,
         m_grain=m,
-        full_size=full_size,
-        assigned=assigned,
+        full_size=math.comb(m + n_cells - 1, n_cells - 1),
+        assigned=tuple(_rounded_member(P, cells, reps, m) for P in family),
     )
 
 
@@ -733,14 +676,14 @@ def verify_qprokh(
 ) -> QProkhReport:
     """Sandwich the covering radius of a family between tightness estimates.
 
-    For each lam a partition into cells of diameter < lam*eps is built, the
-    measure net is constructed, and every family member is checked to be
-    within eps of its net companion in lam-Prokhorov distance (a hard claim;
-    its failure means a bug).  The report then compares the covering radius
-    against the uniform-tightness bracket: covering <= upper + eps must hold,
-    and lower <= covering + eps is expected to hold once the center budget
-    k_max is large enough; a shortfall is reported as inconclusive with a
-    budget hint, never silently absorbed.
+    For each lam the measure net over cells of diameter < lam*eps is built,
+    and every family member is checked to be within eps of its net companion
+    in lam-Prokhorov distance (a hard claim; its failure means a bug).  The
+    report then compares the covering radius against the uniform-tightness
+    bracket: covering <= upper + eps must hold, and lower <= covering + eps is
+    expected to hold once the center budget k_max is large enough; a
+    shortfall is reported as inconclusive with a budget hint, never silently
+    absorbed.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -768,14 +711,13 @@ def verify_qprokh(
     failed = False
     inconclusive = False
     for lam in lambda_grid:
-        partition = diameter_partition(space, lam * eps)
-        net = prokhorov_net(family, lam, eps, partition, t_gamma_bound=0.0)
+        net = prokhorov_net(family, lam, eps)
         rhos = tuple(
             prokhorov_distance(P, Qr, lam).alpha_star
             for P, Qr in zip(family, net.assigned)
         )
         covering = max(rhos)
-        claim_ok = covering <= net.covering_target + FLOW_TOL
+        claim_ok = covering <= eps + FLOW_TOL
         if not claim_ok:
             failed = True
         check_a = covering <= mu.upper + eps + FLOW_TOL
@@ -785,7 +727,7 @@ def verify_qprokh(
         rows.append(
             QProkhLambdaRow(
                 lam=lam,
-                n_cells=len(partition),
+                n_cells=len(net.representatives),
                 m_grain=net.m_grain,
                 net_full_size=net.full_size,
                 per_member_rho=rhos,

@@ -14,9 +14,7 @@ parameter:
   bounds that a solved deficiency puts on its search bracket by it, so a
   deficiency off by rounding cannot cut the answer out of the bracket.
 - ``MASS_ROUND_TOL``: rounding allowed in a single mass: ``probability_vector``
-  takes entries down to ``-MASS_ROUND_TOL`` as 0, and ``prokhorov_net``
-  accepts a family member's mass outside the partition (1 minus a sum of
-  cell masses) up to this above ``t_gamma_bound + eps/2``.
+  takes entries down to ``-MASS_ROUND_TOL`` as 0.
 - ``CERT_TOL``: slack of the hard assertions on path nets: the per-sample
   approximation bound of ``aa_net``, the 3M norm bound on its snapped
   values, and the sandwich rows of ``verify_qaa`` and ``verify_qsaa``.

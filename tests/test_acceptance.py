@@ -19,7 +19,6 @@ from qcompact import (
     aa_net,
     chebyshev_center,
     cover_profile,
-    diameter_partition,
     exact_kcenter,
     jung_check,
     jung_ratio,
@@ -118,7 +117,7 @@ def test_c03_dirac_closed_form():
 
 
 def test_c04_net_covering_claim():
-    """20 random families: every member within the net's covering target."""
+    """20 random families: every member within eps of its net companion."""
     rng = np.random.default_rng(404)
     for trial in range(20):
         n = int(rng.integers(4, 16))
@@ -129,12 +128,11 @@ def test_c04_net_covering_claim():
         ]
         lam = float(rng.uniform(0.5, 2.0))
         eps = float(rng.uniform(0.4, 0.9))
-        cells = diameter_partition(space, lam * eps)
-        net = prokhorov_net(family, lam, eps, cells, 0.0)
+        net = prokhorov_net(family, lam, eps)
         for P, Qr in zip(family, net.assigned):
             rho = prokhorov_distance(P, Qr, lam).alpha_star
-            assert rho <= net.covering_target + 1e-9
-    print("\n  c4: 20 families, all members within t + eps of their net measure")
+            assert rho <= net.eps + 1e-9
+    print("\n  c4: 20 families, all members within eps of their net measure")
 
 
 def test_c05_jung_sandwich_fuzz_and_simplex_equality():

@@ -300,6 +300,34 @@ class TestInputErrors:
         assert rc == 1
         assert "label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, instance, args",
+        [
+            ("tv-dist", {"space": "space.json", "mass": {"a": 1}}, ["q"]),
+            ("cheby", {"coords": {"x": [0.0]}}, []),
+            ("cover-profile", {"dist": {"a": 1}}, ["--k-max", "2"]),
+            (
+                "aa-net",
+                {"paths": [{"knots": {"a": 0.0}, "values": [[0.0], [0.0]]}]},
+                ["--delta", "0.5", "--alpha", "0.5", "--bound-m", "1", "--eps", "0.1"],
+            ),
+            (
+                "verify-qsaa",
+                {"weights": [1.0], "paths": 5},
+                ["ensemble", "--lambda-grid", "1", "--eps-grid", "0.25",
+                 "--delta-grid", "0.5", "--m-grid", "2", "--eps", "0.1"],
+            ),
+        ],
+    )
+    def test_field_of_the_wrong_type(self, files, capsys, command, instance, args):
+        """An object or a number where an array belongs is bad input, not a
+        traceback."""
+        bad = write_json(files["dir"] / "wrong_type.json", instance)
+        args = [files.get(a, a) for a in args]
+        assert main([command, bad, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+
     def test_out_naming_a_directory(self, files, tmp_path, capsys):
         target = tmp_path / "reports"
         target.mkdir()
@@ -404,6 +432,16 @@ class TestConfigMode:
         )
         assert rc2 == 0
         assert via_config == (tmp_path / "flags.json").read_text()
+
+    def test_abbreviated_format_flag_overrides_config(self, files, tmp_path):
+        cfg = self.make_config(files, tmp_path, out_name="out.csv")
+        assert main(["--config", cfg, "--form", "csv"]) == 0
+        rc = main(
+            ["prokhorov-dist", files["p"], files["q"], "--lambda-grid", "0.5,1.0",
+             "--format", "csv", "--out", str(tmp_path / "flags.csv")]
+        )
+        assert rc == 0
+        assert (tmp_path / "out.csv").read_text() == (tmp_path / "flags.csv").read_text()
 
     def test_rerun_is_byte_identical(self, files, tmp_path):
         cfg = self.make_config(files, tmp_path)

@@ -321,7 +321,7 @@ class TestProkhorovNet:
     def test_single_dirac_net_contains_itself(self):
         sp = FiniteMetricSpace(np.zeros((1, 1)))
         P = DiscreteMeasure.dirac(sp, 0)
-        net = prokhorov_net([P], 1.0, 1.0, [IndexSet.of([0])], 0.0)
+        net = prokhorov_net([P], 1.0, 1.0)
         assert net.full_size == 1
         assert np.array_equal(net.assigned[0].mass, P.mass)
         assert prokhorov_distance(P, net.assigned[0], 1.0).alpha_star <= 1.0
@@ -340,34 +340,21 @@ class TestProkhorovNet:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
-        cells = diameter_partition(sp, 0.5)
-        net = prokhorov_net(family, 1.0, 0.5, cells, 0.0)
-        assert (len(cells), net.m_grain, net.full_size) == (5, 20, 10626)
+        net = prokhorov_net(family, 1.0, 0.5)
         assert len(built) <= len(family)
+        cells = diameter_partition(sp, 0.5)
+        assert net.representatives == tuple(cell.members[0] for cell in cells)
+        assert (len(cells), net.m_grain, net.full_size) == (5, 20, 10626)
 
     def test_two_point_rounding_example(self):
-        sp = two_point_space(0.1)
+        sp = two_point_space(1.0)
         P = DiscreteMeasure(sp, [0.3, 0.7])
-        net = prokhorov_net(
-            [P], 1.0, 0.5, [IndexSet.of([0]), IndexSet.of([1])], 0.0
-        )
+        net = prokhorov_net([P], 1.0, 0.5)
+        assert net.representatives == (0, 1)
         assert net.m_grain == 8
         assert np.allclose(net.assigned[0].mass, [2 / 8, 6 / 8])
         rho = prokhorov_distance(P, net.assigned[0], 1.0).alpha_star
         assert rho <= 0.5 + 1e-12
-
-    def test_rejects_oversized_cell(self):
-        sp = two_point_space(1.0)
-        P = DiscreteMeasure(sp, [0.5, 0.5])
-        with pytest.raises(ValueError, match="diameter"):
-            prokhorov_net([P], 1.0, 0.5, [IndexSet.of([0, 1])], 0.0)
-
-    def test_rejects_understated_tightness_bound(self):
-        sp = two_point_space(1.0)
-        P = DiscreteMeasure(sp, [0.5, 0.5])
-        # partition covers only point 0, so 0.5 mass is outside
-        with pytest.raises(ValueError, match="bound"):
-            prokhorov_net([P], 1.0, 0.2, [IndexSet.of([0])], 0.0)
 
     def test_covering_claim_on_random_families(self, rng):
         for trial in range(5):
@@ -379,11 +366,10 @@ class TestProkhorovNet:
                 w = rng.uniform(0.01, 1.0, size=n)
                 fam.append(DiscreteMeasure(sp, w / w.sum()))
             lam, eps = 1.0, 0.8
-            cells = diameter_partition(sp, lam * eps)
-            net = prokhorov_net(fam, lam, eps, cells, 0.0)
+            net = prokhorov_net(fam, lam, eps)
             for P, Qr in zip(fam, net.assigned):
                 rho = prokhorov_distance(P, Qr, lam).alpha_star
-                assert rho <= net.covering_target + 1e-9
+                assert rho <= net.eps + 1e-9
 
 
 class TestVerifyQprokh:
