@@ -8,7 +8,14 @@ to covering radii.  Every headline number ships with a certificate that can
 be rechecked without rerunning the solver.
 """
 
-from .ball import BallCertificate, JungCheck, chebyshev_center, jung_check, jung_ratio
+from .ball import (
+    BallCertificate,
+    JungCheck,
+    chebyshev_center,
+    chebyshev_centers,
+    jung_check,
+    jung_ratio,
+)
 from .cover import CoverProfile, cover_profile, covering_radius, exact_kcenter
 from .errors import InternalConsistencyError, QCompactError
 from .metric import FiniteMetricSpace, IndexSet, inflate, open_ball
@@ -82,6 +89,7 @@ __all__ = [
     "exact_kcenter",
     "covering_radius",
     "chebyshev_center",
+    "chebyshev_centers",
     "BallCertificate",
     "jung_ratio",
     "jung_check",

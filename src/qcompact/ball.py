@@ -20,10 +20,27 @@ barycentric coordinates, as in Gärtner's paper).  Cospherical candidate sets
 (more than N+1 points, or affinely dependent ones) have no unique weights,
 and nonnegative least squares picks a combination; only they load
 ``scipy.optimize``.
+
+``chebyshev_centers`` solves many small sets of one dimension at once, for
+the per-window balls of ``paths.aa_net``.  It pivots every set in the same
+way, but solves a working set of at most N+2 points by enumeration instead
+of recursion: the circumballs of all its subsets of at most N+1 points come
+from one batched ``np.linalg.solve`` per subset size, and the smallest that
+contains the working set is its ball.  Sets go through in chunks of
+``BATCH_CHUNK`` elements per temporary, so memory does not grow with their
+number.  Every batched ball must pass the two gates of ``chebyshev_center``:
+containment of every point up to ``HULL_TOL * max(1, radius)``, and a
+residual of at most as much for the support's barycentric weights, clipped
+at 0 and taken only on the points within ``SUPPORT_BAND`` of the sphere.  A
+set that fails either gate, or whose candidate supports are all affinely
+dependent, is solved again by ``chebyshev_center``.  Above
+``BATCH_MAX_DIM`` every set is.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,9 +56,27 @@ from .tolerances import (
     SUPPORT_WEIGHT_MIN,
 )
 
-__all__ = ["BallCertificate", "chebyshev_center", "jung_ratio", "JungCheck", "jung_check"]
+__all__ = [
+    "BallCertificate",
+    "chebyshev_center",
+    "chebyshev_centers",
+    "jung_ratio",
+    "JungCheck",
+    "jung_check",
+]
 
 MAX_DIM = 16
+
+#: largest dimension that ``chebyshev_centers`` solves by enumeration.  A
+#: working set of N+2 points has 2^(N+2) - 2 candidate supports (30 at
+#: N = 3, 254 at N = 6, 510 at N = 7), and the containment test of all of
+#: them on all N+2 points fills a chunk of ``BATCH_CHUNK`` elements with two
+#: sets at N = 6 but only one at N = 7, where batching no longer pays; sets
+#: of higher dimension are solved one by one by ``chebyshev_center``.
+BATCH_MAX_DIM = 6
+
+#: elements per temporary array of ``chebyshev_centers``
+BATCH_CHUNK = 2**15
 
 _SHUFFLE_SEED = 0x5EB
 
@@ -219,6 +254,171 @@ def chebyshev_center(points) -> BallCertificate:
     sup_uniq, resid = _support_certificate(uniq, center, radius)
     support = tuple(sorted(int(first_idx[i]) for i in sup_uniq))
     return BallCertificate(center=center, radius=radius, support=support, hull_residual=resid)
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_supports(m: int, dim: int, entering: bool):
+    """The subsets of 1 to N+1 of ``m`` working points, only those holding
+    the last one if it is ``entering``: one (S_k, k) index array per size k,
+    and all S of them as rows of ``dim + 1`` slots, with ``used`` marking the
+    slots a subset fills."""
+    groups = [
+        np.array([
+            c for c in itertools.combinations(range(m), k) if not entering or c[-1] == m - 1
+        ])
+        for k in range(1, min(m, dim + 1) + 1)
+    ]
+    slots = np.zeros((sum(len(g) for g in groups), dim + 1), dtype=np.intp)
+    used = np.zeros(slots.shape, dtype=bool)
+    row = 0
+    for g in groups:
+        slots[row : row + len(g), : g.shape[1]] = g
+        used[row : row + len(g), : g.shape[1]] = True
+        row += len(g)
+    # cached and shared by every caller
+    for a in (*groups, slots, used):
+        a.setflags(write=False)
+    return groups, slots, used
+
+
+def _candidate_balls(work: np.ndarray, valid: np.ndarray, groups):
+    """Circumball of every candidate support (``groups``, from
+    ``_candidate_supports``) of every working set.
+
+    ``work`` holds B working sets of m points, (B, m, N); a support that
+    uses a slot where ``valid`` is False, or whose points are affinely
+    dependent (a singular system), is invalid.  Returns the centers
+    (B, S, N), squared radii (B, S), the centers' barycentric weights on the
+    support's slots (B, S, N+1, 0 on unused slots) and validity (B, S).
+    """
+    nb, _, dim = work.shape
+    centers, r2s, weights, good = [], [], [], []
+    for idx in groups:
+        k = idx.shape[1]
+        pts = work[:, idx]
+        p0 = pts[:, :, 0]
+        ok = valid[:, idx].all(axis=2)
+        w = np.zeros((nb, len(idx), dim + 1))
+        if k == 1:
+            center = p0
+            w[..., 0] = 1.0
+        else:
+            v = pts[:, :, 1:] - p0[:, :, None]
+            gram = 2.0 * (v @ v.swapaxes(-1, -2))
+            rhs = (v * v).sum(axis=-1)
+            singular = np.linalg.slogdet(gram)[0] == 0.0
+            gram[singular] = np.eye(k - 1)
+            x = np.linalg.solve(gram, rhs[..., None])[..., 0]
+            center = p0 + (x[..., None, :] @ v)[..., 0, :]
+            ok &= ~singular
+            w[..., 0] = 1.0 - x.sum(axis=-1)
+            w[..., 1:k] = x
+        centers.append(center)
+        r2s.append(((center - p0) ** 2).sum(axis=-1))
+        weights.append(w)
+        good.append(ok)
+    return (
+        np.concatenate(centers, axis=1),
+        np.concatenate(r2s, axis=1),
+        np.concatenate(weights, axis=1),
+        np.concatenate(good, axis=1),
+    )
+
+
+def _solve_chunk(sets: np.ndarray):
+    """Smallest balls of the (B, n, N) ``sets`` by batched pivoting: centers,
+    radii, and whether each ball passed both gates."""
+    nb, n, dim = sets.shape
+    m = min(n, dim + 2)
+    center = np.zeros((nb, dim))
+    r2 = np.full(nb, np.nan)
+    far_d2 = np.full(nb, np.nan)
+    sup_pts = np.zeros((nb, dim + 1, dim))
+    sup_w = np.zeros((nb, dim + 1))
+    # each active set's working points, as indices into the set
+    active = np.arange(nb)
+    work = np.tile(np.arange(m), (nb, 1))
+    valid = np.ones((nb, m), dtype=bool)
+    for pivot in range(MAX_PIVOTS):
+        if active.size == 0:
+            break
+        # after a pivot the entering point, last in the working set, lies on
+        # the next ball's sphere, so only the supports holding it are tried
+        groups, slots, used = _candidate_supports(m, dim, pivot > 0)
+        pts = sets[active]
+        rows = np.arange(active.size)
+        w_pts = pts[rows[:, None], work]
+        c, cr2, cw, good = _candidate_balls(w_pts, valid, groups)
+        d2 = ((w_pts[:, None] - c[:, :, None]) ** 2).sum(axis=-1)
+        good &= _inside(d2, cr2[..., None]).all(axis=-1)
+        best = np.argmin(np.where(good, cr2, np.inf), axis=1)
+        found = good[rows, best]
+        bc, br2 = c[rows, best], cr2[rows, best]
+        d2_all = ((pts - bc[:, None]) ** 2).sum(axis=-1)
+        far = np.argmax(d2_all, axis=1)
+        fd2 = d2_all[rows, far]
+        inside = _inside(fd2, br2)
+        d = np.nonzero(found & inside)[0]
+        at = active[d]
+        center[at], r2[at], far_d2[at] = bc[d], br2[d], fd2[d]
+        sup_pts[at] = w_pts[d[:, None], slots[best[d]]]
+        sup_w[at] = cw[d, best[d]]
+        # the farthest point joins the support; slots left over repeat it
+        # and are marked invalid
+        g = np.nonzero(found & ~inside)[0]
+        keep = used[best[g]]
+        support = np.where(keep, work[g[:, None], slots[best[g]]], far[g, None])
+        work = np.concatenate([support, far[g, None]], axis=1)
+        valid = np.concatenate([keep, np.ones((g.size, 1), dtype=bool)], axis=1)
+        active = active[g]
+
+    # the gates of chebyshev_center; a set that found no ball, or ran out of
+    # pivots, has a NaN radius and fails them
+    radius = np.sqrt(np.maximum(r2, 0.0))
+    scale = np.maximum(1.0, radius)
+    slack = HULL_TOL * scale
+    d_sup = np.sqrt(((sup_pts - center[:, None]) ** 2).sum(axis=-1))
+    on_sphere = d_sup >= (radius - SUPPORT_BAND * scale)[:, None]
+    w = np.where(on_sphere, np.maximum(sup_w, 0.0), 0.0)
+    miss = (w[..., None] * sup_pts).sum(axis=1) - center
+    resid = np.sqrt((miss**2).sum(axis=-1) + (scale * (w.sum(axis=1) - 1.0)) ** 2)
+    ok = np.isfinite(r2) & (np.sqrt(far_d2) <= radius + slack) & (resid <= slack)
+    return center, radius, ok
+
+
+def chebyshev_centers(sets) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (B, N) and radii (B,) of the smallest balls enclosing each of
+    B sets of n points in R^N, given as a (B, n, N) array.
+
+    The balls are those of ``chebyshev_center`` up to rounding; every one
+    passed the same containment and hull gates, or was computed by
+    ``chebyshev_center`` itself.
+    """
+    sets = np.asarray(sets, dtype=float)
+    if sets.ndim != 3 or 0 in sets.shape:
+        raise ValueError("need a nonempty (B, n, N) array of point sets")
+    if not np.isfinite(sets).all():
+        raise ValueError("points must be finite")
+    nb, n, dim = sets.shape
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
+    centers = np.empty((nb, dim))
+    radii = np.empty(nb)
+    failed = np.arange(nb)
+    if dim <= BATCH_MAX_DIM:
+        m = min(n, dim + 2)
+        per_set = max(len(_candidate_supports(m, dim, False)[1]) * m, n) * dim
+        step = max(1, BATCH_CHUNK // per_set)
+        ok = np.empty(nb, dtype=bool)
+        with np.errstate(all="ignore"):
+            for lo in range(0, nb, step):
+                part = slice(lo, lo + step)
+                centers[part], radii[part], ok[part] = _solve_chunk(sets[part])
+        failed = np.nonzero(~ok)[0]
+    for i in failed:
+        cert = chebyshev_center(sets[i])
+        centers[i], radii[i] = cert.center, cert.radius
+    return centers, radii
 
 
 def jung_ratio(dim: int) -> float:

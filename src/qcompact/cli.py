@@ -621,15 +621,29 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _config_parser() -> _Parser:
+    parser = _Parser(prog="qcompact")
+    parser.add_argument("--config", required=True)
+    _add_common(parser)
+    # a flag left out keeps the config file's value
+    parser.set_defaults(format=None)
+    return parser
+
+
+def _names_config(parser: _Parser, arg: str) -> bool:
+    """Whether ``parser`` reads ``arg`` as ``--config``.  This is argparse's
+    rule: ``arg`` is a flag or ``flag=value``, and ``--config`` is the only
+    long option that starts with the flag, so abbreviations count."""
+    flag = arg.split("=", 1)[0]
+    options = [o for a in parser._actions for o in a.option_strings if o.startswith(flag)]
+    return flag.startswith("--") and options == ["--config"]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if any(a == "--config" or a.startswith("--config=") for a in argv):
-            parser = _Parser(prog="qcompact")
-            parser.add_argument("--config", required=True)
-            _add_common(parser)
-            # a flag left out keeps the config file's value
-            parser.set_defaults(format=None)
+        parser = _config_parser()
+        if any(_names_config(parser, a) for a in argv):
             args = parser.parse_args(argv)
             cfg = load_config_file(args.config)
             if args.out is not None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ball import chebyshev_center, jung_ratio
+from .ball import chebyshev_centers, jung_ratio
 from .errors import InternalConsistencyError
 from .tolerances import CERT_TOL, PATH_BOUND_SLACK, TIME_SLACK
 
@@ -128,14 +128,12 @@ def modulus(x: PLPath, delta: float) -> float:
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
     t = x.knots
-    hi = np.searchsorted(t, t + delta, side="right")
-    s_list = []
-    t_list = []
-    for a in range(t.size):
-        b_hi = hi[a]
-        if b_hi > a + 1:
-            s_list.append(np.full(b_hi - a - 1, t[a]))
-            t_list.append(t[a + 1 : b_hi])
+    # the knot pairs a < b < hi[a], grouped by a
+    counts = np.searchsorted(t, t + delta, side="right") - np.arange(t.size) - 1
+    a = np.repeat(np.arange(t.size), counts)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    s_list = [t[a]]
+    t_list = [t[b]]
     mask = t + delta <= 1.0 + TIME_SLACK
     s_list.append(t[mask])
     t_list.append(np.minimum(t[mask] + delta, 1.0))
@@ -220,20 +218,47 @@ def _window_grid(delta: float) -> tuple[np.ndarray, list[tuple[float, float]]]:
     return t, windows
 
 
-def _window_points(x: PLPath, lo: float, hi: float) -> np.ndarray:
-    i0 = int(np.searchsorted(x.knots, lo, side="left"))
-    i1 = int(np.searchsorted(x.knots, hi, side="right"))
-    inner = x.knots[i0:i1]
-    times = np.concatenate([[lo], inner, [hi]])
-    return x.at(times)
+def _window_values(x: PLPath, lo: np.ndarray, hi: np.ndarray):
+    """The path's points in each window [lo, hi]: its value at lo, at each
+    knot strictly inside and at hi, in time order, from one evaluation.
+    Returns them stacked window after window, with the count per window."""
+    first = np.searchsorted(x.knots, lo, side="right")
+    sizes = np.searchsorted(x.knots, hi, side="left") - first + 2
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # position of each point within its window; position p > 0 is the knot
+    # first + p - 1, and the window's last position is overwritten by hi
+    pos = np.arange(ends[-1]) - np.repeat(starts, sizes)
+    times = x.knots[np.minimum(np.repeat(first - 1, sizes) + pos, x.knots.size - 1)]
+    times[starts] = lo
+    times[ends - 1] = hi
+    return x.at(times), sizes
+
+
+def _family_window_balls(family: Sequence[PLPath], windows):
+    """Chebyshev centers (member, window, coordinate) and radii (member,
+    window) of each member's points in each window."""
+    if family[0].n_dim == 1:
+        balls = [_window_balls(x, windows) for x in family]
+        return np.stack([c for c, _ in balls]), np.stack([r for _, r in balls])
+    lo, hi = np.array(windows).T
+    values, sizes = zip(*(_window_values(x, lo, hi) for x in family))
+    values = np.concatenate(values)
+    sizes = np.concatenate(sizes)
+    starts = np.cumsum(sizes) - sizes
+    centers = np.empty((sizes.size, values.shape[1]))
+    radii = np.empty(sizes.size)
+    # one batched solve for all windows of one point count
+    for n in np.unique(sizes):
+        sel = np.nonzero(sizes == n)[0]
+        centers[sel], radii[sel] = chebyshev_centers(values[starts[sel, None] + np.arange(n)])
+    shape = (len(family), len(windows))
+    return centers.reshape(*shape, -1), radii.reshape(shape)
 
 
 def _window_balls(x: PLPath, windows) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev centers (one row per window) and radii of the path's points
-    in each window: the endpoint values and the inner knot values."""
-    if x.n_dim > 1:
-        certs = [chebyshev_center(_window_points(x, lo, hi)) for lo, hi in windows]
-        return np.stack([c.center for c in certs]), np.array([c.radius for c in certs])
+    """Centers (one row per window) and radii of the balls of a 1-D path's
+    points in each window: the endpoint values and the inner knot values."""
     # in 1-D the ball is [min, max]; one vectorised pass over all windows
     # gives the same floats as chebyshev_center window by window
     lo, hi = np.array(windows).T
@@ -308,8 +333,8 @@ def aa_net(
     members: list[PLPath] = []
     member_keys: dict[bytes, int] = {}
     per_sample = []
-    for x in family:
-        centers, radii = _window_balls(x, windows)
+    all_centers, all_radii = _family_window_balls(family, windows)
+    for x, centers, radii in zip(family, all_centers, all_radii):
         values = centers[np.arange(grid_times.size) // 2]
         snapped = np.round(values / pitch) * pitch
         norms = np.sqrt((snapped * snapped).sum(axis=1))

@@ -36,14 +36,17 @@ parameter:
   points on the ball's sphere, with weights summing to 1, that reproduces
   the center: numpy solves for it when the candidates are at most N+1
   affinely independent points, and nonnegative least squares when they are
-  cospherical (more than N+1, or affinely dependent).
+  cospherical (more than N+1, or affinely dependent).  ``chebyshev_centers``
+  holds its batched balls to the same two bounds, with the barycentric
+  weights of each ball's support as the combination.
 - ``SUPPORT_BAND``: the points within this distance (times
   ``max(1, radius)``) of a Chebyshev ball's sphere are the candidates for its
   support certificate.  When nonnegative least squares cannot meet
   ``HULL_TOL`` on them, the band is widened by ``SUPPORT_BAND_GROWTH``, at
   most twice.  The band covers the rounding of the computed center and
   distances, which moves a point of the sphere off it; widening recovers a
-  support point that rounding moved further.
+  support point that rounding moved further.  ``chebyshev_centers`` gives a
+  support point outside the band no weight.
 - ``SUPPORT_WEIGHT_MIN``: a candidate whose certificate weight is at or
   below this is left out of the support, so the support lists only the
   points the combination really uses.

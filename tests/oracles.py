@@ -4,10 +4,12 @@ Most are deliberately brute-force and share no code with the package's
 solvers: subset enumeration instead of flows, dense time grids
 instead of knot analysis, exhaustive boundary-subset search instead of the
 minimal-ball recursion, nonnegative least squares alone instead of the ball
-certificate's numpy solve.  Two keep an earlier, simpler form of a package
+certificate's numpy solve.  Four keep an earlier, simpler form of a package
 routine as the reference for a faster one: ``prokhorov_sweep_bisect`` (the
-index bisection, on the package's own flows and recheck) and
-``dumps_recursive`` (the report writer that formats one node at a time).
+index bisection, on the package's own flows and recheck),
+``dumps_recursive`` (the report writer that formats one node at a time),
+``modulus_per_knot`` (the knot pairs listed one knot at a time) and
+``window_balls_per_window`` (one ``chebyshev_center`` call per window).
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import math
 
 import numpy as np
 
+from qcompact.ball import chebyshev_center
 from qcompact.maxflow import transport_flow
+from qcompact.tolerances import TIME_SLACK
 from qcompact.prokhorov import ProkhorovResult, check_alpha_block
 
 
@@ -78,6 +82,52 @@ def _interp(knots, values, t):
     seg = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
     frac = (t - knots[seg]) / (knots[seg + 1] - knots[seg])
     return (1.0 - frac)[:, None] * values[seg] + frac[:, None] * values[seg + 1]
+
+
+def modulus_per_knot(x, delta: float) -> float:
+    """``paths.modulus`` with its knot pairs ``a < b < hi[a]`` listed by a
+    Python loop over ``a``; the same candidate times in the same order."""
+    delta = float(delta)
+    t = x.knots
+    hi = np.searchsorted(t, t + delta, side="right")
+    s_list = []
+    t_list = []
+    for a in range(t.size):
+        b_hi = hi[a]
+        if b_hi > a + 1:
+            s_list.append(np.full(b_hi - a - 1, t[a]))
+            t_list.append(t[a + 1 : b_hi])
+    mask = t + delta <= 1.0 + TIME_SLACK
+    s_list.append(t[mask])
+    t_list.append(np.minimum(t[mask] + delta, 1.0))
+    mask = t - delta >= -TIME_SLACK
+    s_list.append(np.maximum(t[mask] - delta, 0.0))
+    t_list.append(t[mask])
+    s_all = np.concatenate(s_list)
+    t_all = np.concatenate(t_list)
+    if s_all.size == 0:
+        return 0.0
+    diff = x.at(t_all) - x.at(s_all)
+    return float(np.sqrt((diff * diff).sum(axis=1)).max(initial=0.0))
+
+
+def window_points(x, lo: float, hi: float) -> np.ndarray:
+    """A path's points in the window [lo, hi]: its values at lo, at every
+    knot in [lo, hi] and at hi."""
+    i0 = int(np.searchsorted(x.knots, lo, side="left"))
+    i1 = int(np.searchsorted(x.knots, hi, side="right"))
+    times = np.concatenate([[lo], x.knots[i0:i1], [hi]])
+    return x.at(times)
+
+
+def window_balls_per_window(family, windows):
+    """``paths._family_window_balls`` by one ``chebyshev_center`` call per
+    window of each member: centers (member, window, coordinate) and radii
+    (member, window)."""
+    certs = [[chebyshev_center(window_points(x, lo, hi)) for lo, hi in windows] for x in family]
+    centers = np.array([[c.center for c in row] for row in certs])
+    radii = np.array([[c.radius for c in row] for row in certs])
+    return centers, radii
 
 
 def support_certificate_nnls(points, center, radius):

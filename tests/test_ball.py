@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcompact
-from qcompact import InternalConsistencyError, chebyshev_center, jung_check, jung_ratio
+from qcompact import (
+    InternalConsistencyError,
+    chebyshev_center,
+    chebyshev_centers,
+    jung_check,
+    jung_ratio,
+)
 from qcompact import ball as ball_module
 from qcompact.tolerances import HULL_TOL
 
@@ -181,12 +187,17 @@ class TestPivoting:
         )
         assert _run_python(code).split() == ["3", "True"]
 
-    @pytest.mark.parametrize("case", ["cheby", "cover-profile", "verify-qaa", "cube"])
+    @pytest.mark.parametrize(
+        "case", ["cheby", "cover-profile", "verify-qaa", "verify-qaa-max-dim", "cube"]
+    )
     def test_generic_balls_leave_scipy_unloaded(self, case, tmp_path):
-        # only a cospherical candidate set (the cube's 8 vertices) needs nnls
+        # only a cospherical candidate set (the cube's 8 vertices) needs nnls;
+        # verify-qaa's window balls come from the batched solver, in 3-D and
+        # at its largest dimension
         rng = np.random.default_rng(8)
-        if case == "verify-qaa":
-            values = np.cumsum(rng.standard_normal((12, 17, 3)) / 4.0, axis=1)
+        if case.startswith("verify-qaa"):
+            dim = ball_module.BATCH_MAX_DIM if case.endswith("max-dim") else 3
+            values = np.cumsum(rng.standard_normal((12, 17, dim)) / 4.0, axis=1)
             paths = [{"knots": np.linspace(0, 1, 17).tolist(), "values": v.tolist()} for v in values]
             bound_m = math.ceil(np.sqrt((values**2).sum(axis=2)).max())
             data = {"paths": paths}
@@ -200,7 +211,7 @@ class TestPivoting:
             args = ["--k-max", k_max] if k_max else []
         inp = tmp_path / "input.json"
         inp.write_text(json.dumps(data))
-        command = "cheby" if case == "cube" else case
+        command = {"cube": "cheby", "verify-qaa-max-dim": "verify-qaa"}.get(case, case)
         argv = [command, str(inp), *args, "--out", str(tmp_path / "report.json")]
         code = (
             "import sys\n"
@@ -270,6 +281,141 @@ class TestSupportCertificate:
         assert calls == [1]
         assert support == (0, 1)
         assert resid <= HULL_TOL
+
+
+def _count_scalar_calls(monkeypatch) -> list:
+    """Every set the batched solver hands to ``chebyshev_center``."""
+    calls = []
+    scalar = ball_module.chebyshev_center
+
+    def counted(points):
+        calls.append(np.array(points))
+        return scalar(points)
+
+    monkeypatch.setattr(ball_module, "chebyshev_center", counted)
+    return calls
+
+
+def assert_batched_balls(sets, centers, radii):
+    """Each ball has the radius of ``chebyshev_center`` and of the subset
+    oracle, contains its set and has a valid support hull, each up to
+    ``HULL_TOL * max(1, radius)``."""
+    for pts, center, radius in zip(sets, centers, radii):
+        bound = HULL_TOL * max(1.0, radius)
+        assert abs(radius - chebyshev_center(pts).radius) <= bound
+        assert abs(radius - meb_by_subsets(pts)[1]) <= bound
+        assert np.sqrt(((pts - center) ** 2).sum(axis=1)).max() <= radius + bound
+        _, resid, _ = support_certificate_nnls(pts, center, radius)
+        assert resid <= bound
+
+
+class TestChebyshevCenters:
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.sampled_from([None, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_matches_scalar_solver_and_subset_oracle(self, dim, n, nb, lattice, seed):
+        sets = np.random.default_rng(seed).standard_normal((nb, n, dim))
+        # coarse lattices give duplicates, collinear and cospherical sets
+        if lattice is not None:
+            sets = np.round(sets / lattice) * lattice
+        assert_batched_balls(sets, *chebyshev_centers(sets))
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_sets_larger_than_the_working_set_pivot(self, dim):
+        sets = np.random.default_rng(dim).standard_normal((40, dim + 6, dim))
+        centers, radii = chebyshev_centers(sets)
+        for pts, center, radius in zip(sets, centers, radii):
+            want = chebyshev_center(pts)
+            assert abs(radius - want.radius) <= HULL_TOL * max(1.0, radius)
+            assert np.abs(center - want.center).max() <= HULL_TOL * max(1.0, radius)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [1.0, 0.5]],
+            [[0.3, -1.0, 2.0]] * 5,
+            [[t, 2.0 * t, -t] for t in (0.0, 1.0, 0.25, 3.0, 0.5)],
+            [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0],
+             [0.0, 0.0, 0.0]],
+            np.random.default_rng(9).standard_normal((8, 3)) * 1e9,
+        ],
+        ids=["duplicates", "all-equal", "collinear", "cospherical-square",
+             "simplex-and-centroid", "scaled-1e9"],
+    )
+    def test_degenerate_sets_certify(self, pts):
+        sets = np.asarray(pts, dtype=float)[None]
+        assert_batched_balls(sets, *chebyshev_centers(sets))
+
+    @pytest.mark.parametrize("corrupt", ["weights", "radii"])
+    def test_rejected_balls_come_from_the_scalar_solver(self, corrupt, monkeypatch):
+        # negated weights fail the hull gate; shrunk radii leave no candidate
+        # that contains the working set
+        balls = ball_module._candidate_balls
+
+        def corrupted(*args):
+            centers, r2, weights, good = balls(*args)
+            if corrupt == "weights":
+                return centers, r2, -weights, good
+            return centers, r2 * (1.0 - 1e-6) ** 2, weights, good
+
+        monkeypatch.setattr(ball_module, "_candidate_balls", corrupted)
+        calls = _count_scalar_calls(monkeypatch)
+        sets = np.random.default_rng(4).standard_normal((7, 6, 3))
+        centers, radii = chebyshev_centers(sets)
+        assert len(calls) == 7
+        for pts, center, radius in zip(sets, centers, radii):
+            want = chebyshev_center(pts)
+            assert radius == want.radius and np.array_equal(center, want.center)
+
+    def test_pivot_cap_hands_sets_to_the_scalar_solver(self, monkeypatch):
+        # the scalar solver, under the same cap, then gives up as it would alone
+        sets = np.random.default_rng(5).standard_normal((20, 12, 2))
+        calls = _count_scalar_calls(monkeypatch)
+        monkeypatch.setattr(ball_module, "MAX_PIVOTS", 1)
+        with pytest.raises(InternalConsistencyError, match="pivots"):
+            chebyshev_centers(sets)
+        assert calls
+
+    def test_generic_sets_need_no_fallback(self, monkeypatch):
+        calls = _count_scalar_calls(monkeypatch)
+        for dim in range(2, ball_module.BATCH_MAX_DIM + 1):
+            chebyshev_centers(np.random.default_rng(dim).standard_normal((50, dim + 4, dim)))
+        assert calls == []
+
+    def test_dimensions_past_the_cutoff_use_the_scalar_solver(self, monkeypatch):
+        calls = _count_scalar_calls(monkeypatch)
+        dim = ball_module.BATCH_MAX_DIM + 1
+        sets = np.random.default_rng(7).standard_normal((3, 5, dim))
+        centers, radii = chebyshev_centers(sets)
+        assert len(calls) == 3
+        assert radii[1] == chebyshev_center(sets[1]).radius
+
+    def test_chunks_do_not_change_the_balls(self, monkeypatch):
+        sets = np.random.default_rng(6).standard_normal((30, 7, 3))
+        whole = chebyshev_centers(sets)
+        monkeypatch.setattr(ball_module, "BATCH_CHUNK", 1)
+        one_by_one = chebyshev_centers(sets)
+        assert np.array_equal(whole[0], one_by_one[0])
+        assert np.array_equal(whole[1], one_by_one[1])
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (np.zeros((2, 3)), "array of point sets"),
+            (np.zeros((0, 3, 2)), "array of point sets"),
+            (np.full((1, 2, 2), np.inf), "finite"),
+            (np.zeros((1, 2, 17)), "dimension"),
+        ],
+    )
+    def test_rejects_bad_input(self, sets, message):
+        with pytest.raises(ValueError, match=message):
+            chebyshev_centers(sets)
 
 
 def _count_nnls_calls(monkeypatch) -> list:

@@ -433,6 +433,15 @@ class TestConfigMode:
         assert rc2 == 0
         assert via_config == (tmp_path / "flags.json").read_text()
 
+    @pytest.mark.parametrize("flag", [["--conf"], ["--c"], ["--conf="]])
+    def test_abbreviated_config_flag(self, flag, files, tmp_path):
+        cfg = self.make_config(files, tmp_path)
+        assert main(["--config", cfg]) == 0
+        want = (tmp_path / "out.json").read_bytes()
+        argv = [flag[0] + cfg] if flag[0].endswith("=") else [flag[0], cfg]
+        assert main([*argv, "--out", str(tmp_path / "abbrev.json")]) == 0
+        assert (tmp_path / "abbrev.json").read_bytes() == want
+
     def test_abbreviated_format_flag_overrides_config(self, files, tmp_path):
         cfg = self.make_config(files, tmp_path, out_name="out.csv")
         assert main(["--config", cfg, "--form", "csv"]) == 0

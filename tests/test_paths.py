@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +11,21 @@ from qcompact import (
     aa_net,
     jung_ratio,
     modulus,
-    chebyshev_center,
     mu_uec_family,
     sample_walks,
     uniform_distance,
     verify_qaa,
 )
-from qcompact.paths import _window_balls, _window_grid, _window_points
+from qcompact import ball as ball_module
+from qcompact import paths as paths_module
+from qcompact.paths import _window_balls, _window_grid
 
-from oracles import dense_modulus, dense_uniform_distance
+from oracles import (
+    dense_modulus,
+    dense_uniform_distance,
+    modulus_per_knot,
+    window_balls_per_window,
+)
 
 
 def ramp(s, h, n_dim=1):
@@ -148,6 +155,19 @@ class TestModulus:
         p = PLPath([0.0, 1.0], [[0.0], [v]])
         assert modulus(p, delta) == pytest.approx(abs(v) * delta, abs=1e-12)
 
+    @given(
+        st.integers(1, 3).flatmap(lambda d: pl_path(n_dim=d, max_knots=24)),
+        st.floats(1e-3, 1.5),
+    )
+    @settings(max_examples=80)
+    def test_matches_per_knot_loop_bit_for_bit(self, x, delta):
+        assert modulus(x, delta) == modulus_per_knot(x, delta)
+
+    @pytest.mark.parametrize("delta", [1e-4, 0.01, 1 / 64, 0.05, 0.3, 1.0, 2.0])
+    def test_walks_match_per_knot_loop_bit_for_bit(self, delta):
+        for x in sample_walks(64, 30, seed=5).paths:
+            assert modulus(x, delta) == modulus_per_knot(x, delta)
+
 
 class TestMuUecFamily:
     def test_constants(self):
@@ -198,18 +218,13 @@ class TestBridgeLemmas:
         assert uniform_distance(L, M) <= eps + 1e-12
 
 
-def per_window_balls(x, windows):
-    certs = [chebyshev_center(_window_points(x, lo, hi)) for lo, hi in windows]
-    return np.stack([c.center for c in certs]), np.array([c.radius for c in certs])
-
-
 class TestWindowBalls1D:
     """The batched 1-D pass must give the solver's floats, window by window."""
 
     def assert_same_as_solver(self, x, delta):
         _, windows = _window_grid(delta)
         got_c, got_r = _window_balls(x, windows)
-        want_c, want_r = per_window_balls(x, windows)
+        want_c, want_r = (a[0] for a in window_balls_per_window([x], windows))
         assert np.array_equal(got_c, want_c) and np.array_equal(got_r, want_r)
         # signed zeros too
         assert np.array_equal(np.signbit(got_c), np.signbit(want_c))
@@ -308,6 +323,76 @@ class TestAANet:
         limit = jung_ratio(2) * alpha + 0.05
         for s in net.per_sample:
             assert s.achieved <= limit + 1e-9
+
+
+def random_family(rng, n_dim, n_paths, max_inner=12):
+    """Random-walk paths in R^n_dim on irregular knots, one grid per path."""
+    family = []
+    for _ in range(n_paths):
+        inner = np.sort(rng.choice(np.arange(1, 100), rng.integers(0, max_inner), replace=False))
+        knots = np.concatenate([[0.0], inner / 100.0, [1.0]])
+        steps = rng.standard_normal((knots.size, n_dim)) / 4.0
+        family.append(PLPath(knots, np.cumsum(steps, axis=0)))
+    return family
+
+
+class TestBatchedWindowBalls:
+    """``aa_net`` solves its windows with the batched ball solver; its nets
+    are those of one ``chebyshev_center`` call per window."""
+
+    @staticmethod
+    def assert_same_net(family, delta):
+        alpha = mu_uec_family(family, delta)
+        bound_m = max(x.sup_norm for x in family)
+        net = aa_net(family, delta, alpha, bound_m, 0.05)
+        with mock.patch.object(paths_module, "_family_window_balls", window_balls_per_window):
+            want = aa_net(family, delta, alpha, bound_m, 0.05)
+        assert len(net.members) == len(want.members)
+        for got_m, want_m in zip(net.members, want.members):
+            assert np.array_equal(got_m.knots, want_m.knots)
+            assert np.array_equal(got_m.values, want_m.values)
+        for got, exp in zip(net.per_sample, want.per_sample, strict=True):
+            assert (got.member_index, got.achieved, got.bound) == (
+                exp.member_index, exp.achieved, exp.bound
+            )
+            r = exp.window_radii_max
+            assert abs(got.window_radii_max - r) <= 1e-15 * max(1.0, r)
+
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
+    def test_random_families_match_per_window_solver(self, n_dim, seed, delta):
+        rng = np.random.default_rng([n_dim, seed])
+        self.assert_same_net(random_family(rng, n_dim, 15), delta)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
+    def test_shared_knots_match_per_window_solver(self, delta):
+        # the points family's layout: one knot grid for every member, and
+        # windows that start or end on a knot, whose value then appears once
+        rng = np.random.default_rng(17)
+        steps = rng.standard_normal((20, 32, 3)) / np.sqrt(32.0)
+        values = np.concatenate([np.zeros((20, 1, 3)), np.cumsum(steps, axis=1)], axis=1)
+        knots = np.linspace(0.0, 1.0, 33)
+        self.assert_same_net([PLPath(knots, v) for v in values], delta)
+
+    def test_verify_qaa_makes_no_scalar_ball_calls(self, monkeypatch):
+        calls = []
+        scalar = ball_module.chebyshev_center
+
+        def counted(points):
+            calls.append(1)
+            return scalar(points)
+
+        monkeypatch.setattr(ball_module, "chebyshev_center", counted)
+        family = random_family(np.random.default_rng(3), 3, 12)
+        grid = [0.05, 0.1, 0.2]
+        bound_m = max(x.sup_norm for x in family)
+        assert verify_qaa(family, grid, bound_m, 0.05).status == "verified"
+        assert calls == []
+        # the counter sees the windows once they are solved one by one
+        monkeypatch.setattr(ball_module, "BATCH_MAX_DIM", 2)
+        verify_qaa(family, grid, bound_m, 0.05)
+        assert len(calls) == len(family) * sum(len(_window_grid(d)[1]) for d in grid)
 
 
 class TestVerifyQAA:
