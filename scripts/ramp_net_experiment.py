@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from qcompact import PLPath, verify_qaa
-from qcompact.serialize import dumps_deterministic, write_atomic
+from qcompact.serialize import write_report
 
 
 def ramp_family(h: float, step: float):
@@ -59,7 +59,7 @@ def main() -> None:
         )
 
     if args.out:
-        write_atomic(args.out, dumps_deterministic({"rows": rows}))
+        write_report(args.out, {"rows": rows})
         print(f"wrote {args.out}")
 
 

@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from qcompact import DiscreteMeasure, FiniteMetricSpace, verify_qprokh
-from qcompact.serialize import dumps_deterministic, write_atomic
+from qcompact.serialize import write_report
 
 
 def hub_family(n_satellites: int, p: float, spread: float = 10.0):
@@ -66,7 +66,7 @@ def main() -> None:
         )
 
     if args.out:
-        write_atomic(args.out, dumps_deterministic({"rows": rows}))
+        write_report(args.out, {"rows": rows})
         print(f"wrote {args.out}")
 
 

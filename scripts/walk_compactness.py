@@ -12,7 +12,7 @@ per-lambda guarantees.
 import argparse
 
 from qcompact import sample_walks, verify_qsaa
-from qcompact.serialize import dumps_deterministic, write_atomic
+from qcompact.serialize import write_report
 
 
 def main() -> None:
@@ -61,7 +61,7 @@ def main() -> None:
         )
 
     if args.out:
-        write_atomic(args.out, dumps_deterministic({"rows": rows}))
+        write_report(args.out, {"rows": rows})
         print(f"wrote {args.out}")
 
 

@@ -13,7 +13,9 @@ of the lexicographically sorted unique points, so results do not depend on
 the order the caller supplies.  Every ball is then checked to contain every
 input point up to ``HULL_TOL * max(1, radius)``, and its center is certified
 inside the convex hull of its support: a nonnegative combination of sphere
-points, with weights summing to 1, reproduces the center.  In the generic
+points, with weights summing to 1, reproduces the center up to
+``HULL_TOL * max(1, radius, largest |coordinate|)``, since the combination's
+rounding grows with the coordinates, not with the radius.  In the generic
 case the candidates are at most N+1 affinely independent points, the weights
 are unique, and one numpy least-squares solve finds them (the center's
 barycentric coordinates, as in Gärtner's paper).  Cospherical candidate sets
@@ -30,8 +32,9 @@ contains the working set is its ball.  Sets go through in chunks of
 ``BATCH_CHUNK`` elements per temporary, so memory does not grow with their
 number.  Every batched ball must pass the two gates of ``chebyshev_center``:
 containment of every point up to ``HULL_TOL * max(1, radius)``, and a
-residual of at most as much for the support's barycentric weights, clipped
-at 0 and taken only on the points within ``SUPPORT_BAND`` of the sphere.  A
+residual of at most ``HULL_TOL * max(1, radius, largest |coordinate|)`` for
+the support's barycentric weights, clipped at 0 and taken only on the points
+within ``SUPPORT_BAND`` of the sphere.  A
 set that fails either gate, or whose candidate supports are all affinely
 dependent, is solved again by ``chebyshev_center``.  Above
 ``BATCH_MAX_DIM`` every set is.
@@ -60,6 +63,7 @@ __all__ = [
     "BallCertificate",
     "chebyshev_center",
     "chebyshev_centers",
+    "hull_bound",
     "jung_ratio",
     "JungCheck",
     "jung_check",
@@ -92,7 +96,7 @@ class BallCertificate:
     whose convex hull contains the center.  ``hull_residual`` is the
     distance between the center (with the weights' sum, both scaled by
     ``max(1, radius)``) and the nonnegative combination of the support that
-    certifies it, at most ``HULL_TOL * max(1, radius)``.  The combination is
+    certifies it, at most ``hull_bound(points, radius)``.  The combination is
     solved by numpy for at most N+1 affinely independent candidates and by
     nonnegative least squares for cospherical ones.
     """
@@ -159,6 +163,15 @@ def _pivot_ball(work: np.ndarray, dim: int):
     )
 
 
+def hull_bound(points, radius):
+    """Largest hull residual accepted for a ball of ``radius`` around
+    ``points`` (an (n, N) array, or (B, n, N) with B radii):
+    ``HULL_TOL * max(1, radius, largest |coordinate|)``."""
+    points = np.asarray(points)
+    magnitude = np.abs(points).max(axis=(-2, -1))
+    return HULL_TOL * np.maximum(np.maximum(1.0, radius), magnitude)
+
+
 def _hull_system(sub: np.ndarray, scale: float) -> np.ndarray:
     """Columns are the candidate points over a row of ``scale``: weights ``w``
     with ``a @ w == [center, scale]`` reproduce the center and sum to 1."""
@@ -179,6 +192,7 @@ def _support_certificate(points: np.ndarray, center: np.ndarray, radius: float):
     """
     dists = np.sqrt(((points - center) ** 2).sum(axis=1))
     scale = max(1.0, radius)
+    bound = float(hull_bound(points, radius))
     b = np.concatenate([center, [scale]])
     cand = np.nonzero(dists >= radius - SUPPORT_BAND * scale)[0]
     if cand.size <= points.shape[1] + 1:
@@ -186,12 +200,12 @@ def _support_certificate(points: np.ndarray, center: np.ndarray, radius: float):
         weights, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
         weights = np.maximum(weights, 0.0)
         resid = float(np.sqrt(((a @ weights - b) ** 2).sum()))
-        if rank == cand.size and resid <= HULL_TOL * scale:
+        if rank == cand.size and resid <= bound:
             return _support(cand, weights), resid
-    return _nnls_certificate(points, dists, radius, b, scale)
+    return _nnls_certificate(points, dists, radius, b, scale, bound)
 
 
-def _nnls_certificate(points, dists, radius, b, scale):
+def _nnls_certificate(points, dists, radius, b, scale, bound):
     """The certificate by nonnegative least squares, widening the candidate
     band until the residual meets the bound."""
     # imported here: scipy.optimize dominates the package's import time, and
@@ -203,7 +217,7 @@ def _nnls_certificate(points, dists, radius, b, scale):
     for _ in range(3):
         cand = np.nonzero(dists >= radius - tol)[0]
         weights, resid = nnls(_hull_system(points[cand], scale), b)
-        if resid <= HULL_TOL * scale:
+        if resid <= bound:
             return _support(cand, weights), float(resid)
         tol *= SUPPORT_BAND_GROWTH
     raise InternalConsistencyError(
@@ -382,7 +396,7 @@ def _solve_chunk(sets: np.ndarray):
     w = np.where(on_sphere, np.maximum(sup_w, 0.0), 0.0)
     miss = (w[..., None] * sup_pts).sum(axis=1) - center
     resid = np.sqrt((miss**2).sum(axis=-1) + (scale * (w.sum(axis=1) - 1.0)) ** 2)
-    ok = np.isfinite(r2) & (np.sqrt(far_d2) <= radius + slack) & (resid <= slack)
+    ok = np.isfinite(r2) & (np.sqrt(far_d2) <= radius + slack) & (resid <= hull_bound(sets, radius))
     return center, radius, ok
 
 

@@ -30,7 +30,7 @@ from .prokhorov import (
     tv_distance,
     verify_qprokh,
 )
-from .serialize import dumps_deterministic, csv_text, sha256_file, write_atomic
+from .serialize import csv_text, dumps_deterministic, sha256_file, write_atomic, write_report
 from .stochastic import PathEnsemble, sample_walks, verify_qsaa
 from .tolerances import ORACLE_TOL
 
@@ -536,12 +536,18 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, output) -> None:
+    """Write ``output``, a CSV text or a report tree for the JSON writer, to
+    ``cfg.out`` or stdout.  A report file is streamed; stdout gets the whole
+    text or, if the report does not serialize, nothing."""
     if not cfg.out:
-        sys.stdout.write(text)
+        sys.stdout.write(output if isinstance(output, str) else dumps_deterministic(output))
         return
     try:
-        write_atomic(cfg.out, text)
+        if isinstance(output, str):
+            write_atomic(cfg.out, output)
+        else:
+            write_report(cfg.out, output)
     except OSError as exc:
         raise CLIError(f"{cfg.out}: cannot write: {exc.strerror or exc}")
 
@@ -558,7 +564,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         _emit(cfg, csv_text(command.csv, table))
     elif not command.envelope:
-        _emit(cfg, dumps_deterministic(results))
+        _emit(cfg, results)
     else:
         report = {
             "command": cfg.command,
@@ -568,7 +574,7 @@ def run(cfg: RunConfig) -> int:
             "results": results,
             "status_code": code,
         }
-        _emit(cfg, dumps_deterministic(report))
+        _emit(cfg, report)
     return code
 
 

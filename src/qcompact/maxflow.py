@@ -4,8 +4,14 @@ The network always has one shape (Garel & Massé, *AStA* 93, 2009): the source
 feeds P-atom ``i`` with capacity ``p_mass[i]``, Q-atom ``j`` drains into the
 sink with capacity ``q_mass[j]``, and an allowed pair ``(i, j)`` is an edge of
 unlimited capacity.  The residual graph is thus fully described by the source
-residuals ``rp``, the sink residuals ``rq`` and the pair flows ``flow[i][j]``
-(a pair edge always has room forward and ``flow[i][j]`` back).
+residuals ``rp``, the sink residuals ``rq`` and the pair flows (a pair edge
+always has room forward, and its flow back).  The flows are kept by Q-atom:
+``into[j]`` maps each P-atom ``i`` that some augmenting path sent to ``j``
+to the flow on ``(i, j)``.  Every read of a flow is from the Q side (a back
+edge, or a bottleneck along one), so the level search and the walk look only
+at the pairs that carry flow, and the solver's state grows with the allowed
+pairs and the paths, never with |P| x |Q|.  The one dense array it makes is
+the flow matrix it returns.
 
 The solver is Dinic's algorithm with an iterative depth-first walk, so long
 augmenting paths need no recursion in spaces of a few thousand atoms.  It is
@@ -33,15 +39,16 @@ def transport_flow(p_mass, q_mass, allowed):
     ``allowed[i, j]`` is True where the pair (i, j) may carry flow.  Returns
     ``(flow, value, reach_p)``: the (|P|, |Q|) flow matrix, the total flow,
     and the mask of P-atoms on the source side of a minimum cut (reachable
-    in the final residual graph).
+    in the final residual graph).  Besides that matrix, it holds the allowed
+    pairs as adjacency lists of the P-atoms, per-atom lists, and the pairs
+    that carry flow.
     """
     rp = np.asarray(p_mass, dtype=float).tolist()
     rq = np.asarray(q_mass, dtype=float).tolist()
     p, q = len(rp), len(rq)
     allowed = np.asarray(allowed, dtype=bool)
     q_of = _neighbours(allowed)
-    p_of = _neighbours(allowed.T)
-    flow = [[0.0] * q for _ in range(p)]
+    into: list[dict[int, float]] = [{} for _ in range(q)]
     total = 0.0
     while True:
         # Level search in layers P, Q, P, ...; atoms at or past the sink's
@@ -58,8 +65,8 @@ def transport_flow(p_mass, q_mass, allowed):
             if any(rq[j] > RESIDUAL_EPS for j in q_layer):
                 sink = depth + 2
                 break
-            layer = {i for j in q_layer for i in p_of[j]
-                     if level_p[i] < 0 and flow[i][j] > RESIDUAL_EPS}
+            layer = {i for j in q_layer for i, f in into[j].items()
+                     if f > RESIDUAL_EPS and level_p[i] < 0}
             for i in layer:
                 level_p[i] = depth + 2
             depth += 2
@@ -68,7 +75,15 @@ def transport_flow(p_mass, q_mass, allowed):
 
         # Blocking flow.  ``path`` alternates P- and Q-atoms, ``path[k]`` at
         # level k + 1.  A cursor stays on an edge that pushed; a dead end is
-        # pruned to level -1.  A Q-atom's cursor -1 is its sink edge.
+        # pruned to level -1.  A Q-atom's cursor -1 is its sink edge.  A
+        # Q-atom's back edges that can be on a level path in this phase are
+        # those carrying flow to a P-atom one level up now, ascending: a push
+        # only adds flow on pairs that lead one level down.
+        back_of = [
+            sorted(i for i, f in into[j].items()
+                   if f > RESIDUAL_EPS and level_p[i] == level_q[j] + 1)
+            for j in range(q)
+        ]
         next_src, it_p, it_q, path = 0, [0] * p, [-1] * q, []
         while True:
             k = len(path)
@@ -82,13 +97,13 @@ def transport_flow(p_mass, q_mass, allowed):
                 continue
             u = path[-1]
             if k % 2 == 0 and it_q[u] < 0 and k + 1 == sink and rq[u] > RESIDUAL_EPS:
-                back = [flow[i][j] for j, i in zip(path[1::2], path[2::2])]
+                back = [into[j][i] for j, i in zip(path[1::2], path[2::2])]
                 f = min([rp[path[0]], *back, rq[u]])  # the bottleneck
                 rp[path[0]] -= f
                 for i, j in zip(path[::2], path[1::2]):
-                    flow[i][j] += f
+                    into[j][i] = into[j].get(i, 0.0) + f
                 for j, i in zip(path[1::2], path[2::2]):
-                    flow[i][j] -= f
+                    into[j][i] -= f
                 rq[u] -= f
                 total += f
                 path = []
@@ -96,10 +111,10 @@ def transport_flow(p_mass, q_mass, allowed):
             # a P-atom's pair edges lead forward and never saturate; a
             # Q-atom's lead back to P-atoms and carry their flow
             fwd = k % 2
-            it, nbrs, nxt = (it_p, q_of[u], level_q) if fwd else (it_q, p_of[u], level_p)
+            it, nbrs, nxt = (it_p, q_of[u], level_q) if fwd else (it_q, back_of[u], level_p)
             t = max(it[u], 0)
             while t < len(nbrs) and not (
-                nxt[nbrs[t]] == k + 1 and (fwd or flow[nbrs[t]][u] > RESIDUAL_EPS)
+                nxt[nbrs[t]] == k + 1 and (fwd or into[u][nbrs[t]] > RESIDUAL_EPS)
             ):
                 t += 1
             it[u] = t
@@ -109,4 +124,8 @@ def transport_flow(p_mass, q_mass, allowed):
                 (level_p if fwd else level_q)[u] = -1
                 path.pop()
 
-    return np.array(flow, dtype=float).reshape(p, q), total, np.array(level_p) >= 0
+    dense = np.zeros((p, q))
+    for j, col in enumerate(into):
+        if col:
+            dense[list(col), j] = list(col.values())
+    return dense, total, np.array(level_p) >= 0

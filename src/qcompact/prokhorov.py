@@ -190,7 +190,7 @@ class CouplingCertificate:
             raise InternalConsistencyError("flow plus slack does not add to 1")
         if self.slack_mass > self.alpha + FLOW_TOL:
             raise InternalConsistencyError("slack mass exceeds alpha")
-        beyond = ~close_pairs(dist[np.ix_(sp, sq)], self.lam, self.alpha)
+        beyond = ~close_pairs(_support_block(dist, sp, sq), self.lam, self.alpha)
         if (self.flow[beyond] > FLOW_TOL).any():
             raise InternalConsistencyError("positive flow on a pair beyond lam*alpha")
 
@@ -228,6 +228,14 @@ class ViolationCertificate:
             raise InternalConsistencyError("claimed violating set does not violate")
 
 
+def _support_block(dist, sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """``dist[np.ix_(sp, sq)]``, or ``dist`` itself, uncopied, when the
+    supports ``sp`` and ``sq`` are every row and every column."""
+    if sp.size == dist.shape[0] and sq.size == dist.shape[1]:
+        return dist
+    return dist[np.ix_(sp, sq)]
+
+
 def _cut_masses(p_mass, q_mass, dist, rows: np.ndarray, lam: float, alpha: float):
     """P(A) and Q(A^(lam*alpha)) for the set A of P-atoms ``rows``."""
     near = closed_neighborhood(dist[rows], lam, alpha)
@@ -254,7 +262,7 @@ def check_alpha_block(p_mass, q_mass, dist, lam: float, alpha: float):
         raise ValueError("alpha must be >= 0")
     sp = np.flatnonzero(p_mass > 0.0)
     sq = np.flatnonzero(q_mass > 0.0)
-    allowed = close_pairs(dist[np.ix_(sp, sq)], lam, alpha)
+    allowed = close_pairs(_support_block(dist, sp, sq), lam, alpha)
     flow, value, reach_p = transport_flow(p_mass[sp], q_mass[sq], allowed)
 
     # min-cut set: P-atoms still reachable from the source
@@ -338,14 +346,16 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
         raise ValueError(f"a {dist.shape} distance block does not fit the mass vectors")
     sp = np.flatnonzero(p_mass > 0.0)
     sq = np.flatnonzero(q_mass > 0.0)
-    block = dist[np.ix_(sp, sq)]
+    block = _support_block(dist, sp, sq)
     p_vec, q_vec = p_mass[sp], q_mass[sq]
     deficiency: dict[int, float] = {}
 
     results = []
     for lam in lambda_grid:
         d_over_lam = block / lam
-        bps = np.unique(np.concatenate([[0.0], d_over_lam.ravel()]))
+        bps = np.unique(d_over_lam)
+        if bps[0] != 0.0:
+            bps = np.concatenate([[0.0], bps])
         known = len(deficiency)
 
         def g(k: int) -> float:

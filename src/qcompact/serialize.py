@@ -4,8 +4,14 @@ sorted keys, atomic file writes, CSV tables, and input hashing.
 The standard json module cannot control float formatting, so a small
 recursive writer is used instead; identical in-memory reports therefore
 serialize to identical bytes, which the CLI relies on for reproducibility.
-Numeric arrays reduce to lists in one ``tolist`` call, and a list of floats
-is written in one join, since coupling matrices make up most of a report.
+
+The writer produces the text in pieces of at most one array row or one
+scalar: a numeric array of two or more dimensions is written row by row, each
+row reduced with ``tolist`` and its floats joined at once, since coupling
+matrices make up most of a report.  ``write_report`` streams those pieces
+into its temporary file, so writing a report holds the report's own arrays
+and one row's text at a time, not the whole matrix as Python floats or the
+whole text; ``dumps_deterministic`` joins them into one string.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +31,7 @@ __all__ = [
     "to_jsonable",
     "dumps_deterministic",
     "write_atomic",
+    "write_report",
     "csv_text",
     "sha256_file",
 ]
@@ -38,12 +45,10 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Reduce report objects to dict/list/str/int/float/bool/None trees.
-
-    A dataclass becomes a dict of its fields, less those whose metadata sets
-    ``report`` to False.
-    """
+def _reduce(obj: Any) -> Any:
+    """One level of ``to_jsonable``: ``obj`` as None, a bool, str, int or
+    float, an ndarray, a dict with str keys, or a list or tuple, whose items
+    are not reduced yet."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -51,85 +56,132 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biuf":
-            # tolist already gives Python bools, ints and floats
-            return obj.tolist()
-        return to_jsonable(obj.tolist())
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            f.name: to_jsonable(getattr(obj, f.name))
+            f.name: getattr(obj, f.name)
             for f in dataclasses.fields(obj)
             if f.metadata.get("report", True)
         }
     if hasattr(obj, "to_dict"):
-        return to_jsonable(obj.to_dict())
+        return _reduce(obj.to_dict())
     if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
+        for k in obj:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            out[k] = to_jsonable(v)
-        return out
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in items]
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return obj
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _write_node(obj: Any, out: list, indent: int) -> None:
+def to_jsonable(obj: Any) -> Any:
+    """Reduce report objects to dict/list/str/int/float/bool/None trees.
+
+    A dataclass becomes a dict of its fields, less those whose metadata sets
+    ``report`` to False.
+    """
+    obj = _reduce(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":
+            # tolist already gives Python bools, ints and floats
+            return obj.tolist()
+        return to_jsonable(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    return obj
+
+
+def _pieces(obj: Any, indent: int) -> Iterator[str]:
+    """The JSON text of ``obj`` at nesting depth ``indent``, in pieces of at
+    most one array row or one scalar."""
+    obj = _reduce(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim < 2:
+        obj = to_jsonable(obj)
     pad = "  " * indent
     if obj is None:
-        out.append("null")
+        yield "null"
     elif obj is True:
-        out.append("true")
+        yield "true"
     elif obj is False:
-        out.append("false")
+        yield "false"
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        yield json.dumps(obj, ensure_ascii=True)
     elif isinstance(obj, int):
-        out.append(str(obj))
+        yield str(obj)
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        yield format_float(obj)
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            yield "{}"
             return
-        out.append("{\n")
+        yield "{\n"
         keys = sorted(obj)
         for i, k in enumerate(keys):
-            out.append(pad + "  " + json.dumps(k, ensure_ascii=True) + ": ")
-            _write_node(obj[k], out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        if all(type(v) is float for v in obj):
-            # a float row, the bulk of a coupling matrix: one join
-            if not all(map(math.isfinite, obj)):
-                for v in obj:
-                    format_float(v)  # raises on the first non-finite item
-            sep = ",\n" + pad + "  "
-            items = sep.join([format(v, ".17g") for v in obj])
-            out.append("[\n" + pad + "  " + items + "\n" + pad + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _write_node(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+            yield pad + "  " + json.dumps(k, ensure_ascii=True) + ": "
+            yield from _pieces(obj[k], indent + 1)
+            yield ",\n" if i + 1 < len(keys) else "\n"
+        yield pad + "}"
+    elif len(obj) == 0:
+        yield "[]"
+    elif all(type(v) is float for v in obj):
+        # a float row, the bulk of a coupling matrix: one join
+        if not all(map(math.isfinite, obj)):
+            for v in obj:
+                format_float(v)  # raises on the first non-finite item
+        sep = ",\n" + pad + "  "
+        items = sep.join([format(v, ".17g") for v in obj])
+        yield "[\n" + pad + "  " + items + "\n" + pad + "]"
     else:
-        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+        # a list, a tuple, or an array of two or more dimensions: its rows
+        yield "[\n"
+        for i, v in enumerate(obj):
+            yield pad + "  "
+            yield from _pieces(v, indent + 1)
+            yield ",\n" if i + 1 < len(obj) else "\n"
+        yield pad + "]"
+
+
+def _report_pieces(obj: Any) -> Iterator[str]:
+    yield from _pieces(obj, 0)
+    yield "\n"
 
 
 def dumps_deterministic(obj: Any) -> str:
     """Serialize a report tree to JSON text, bit-stable across runs."""
-    out: list = []
-    _write_node(to_jsonable(obj), out, 0)
-    out.append("\n")
-    return "".join(out)
+    return "".join(_report_pieces(obj))
+
+
+def _writes_in_place(path: str) -> bool:
+    """Whether ``path`` is an existing target that is not a regular file
+    (``/dev/null``, a FIFO, a terminal), which is written, never replaced."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def _replace_atomic(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` into a temporary file next to ``path``, then rename
+    it over ``path``.  If writing fails, or ``pieces`` raises, the temporary
+    file is removed and ``path`` is left as it was."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "w", newline="\n") as handle:
+            for piece in pieces:
+                handle.write(piece)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -139,25 +191,27 @@ def write_atomic(path: str, text: str) -> None:
     umask), not the 0o600 of the temporary file.  An existing target that is
     not a regular file (``/dev/null``, a FIFO, a terminal) is written in
     place, never replaced."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    if _writes_in_place(path):
         with open(path, "w", newline="\n") as handle:
             handle.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    _replace_atomic(path, (text,))
+
+
+def write_report(path: str, obj: Any) -> None:
+    """Write ``dumps_deterministic(obj)`` to ``path`` as ``write_atomic``
+    does, without building the whole text.
+
+    A regular file (or a new one) gets the text streamed, a piece of at most
+    one array row at a time, through the file's buffer into the temporary
+    file; if the report turns out not to serialize (a non-finite float in its
+    last row, say), the error propagates, the temporary file is removed and
+    ``path`` is untouched.  A target written in place gets the whole text or
+    nothing, since what reached a reader cannot be taken back."""
+    if _writes_in_place(path):
+        write_atomic(path, dumps_deterministic(obj))
+    else:
+        _replace_atomic(path, _report_pieces(obj))
 
 
 def _csv_cell(value: Any) -> str:

@@ -29,10 +29,13 @@ parameter:
   start or end at a knot while they reach past [0, 1] by at most this, the
   rounding of ``t + delta`` and ``t - delta`` on knot times.
 - ``HULL_TOL``: a Chebyshev ball must contain every point up to this
-  distance, and its convex-hull certificate may leave this residual, both
-  times ``max(1, radius)`` so that the check scales with the coordinates.
+  distance times ``max(1, radius)``, and its convex-hull certificate may
+  leave this residual times ``max(1, radius, largest |coordinate|)``
+  (``ball.hull_bound``).  The residual compares a combination of points with
+  the center, so its rounding grows with the coordinates: a single point
+  near 1e9 leaves up to about 1e-6 with a radius of 0.
   ``jung_check`` compares the radius with ``diam/2`` and the Jung bound up
-  to the same slack.  The certificate is a nonnegative combination of
+  to the containment slack.  The certificate is a nonnegative combination of
   points on the ball's sphere, with weights summing to 1, that reproduces
   the center: numpy solves for it when the candidates are at most N+1
   affinely independent points, and nonnegative least squares when they are

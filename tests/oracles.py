@@ -136,7 +136,8 @@ def support_certificate_nnls(points, center, radius):
     The points within 1e-7 * max(1, radius) of the sphere are candidates;
     nnls finds nonnegative weights summing to 1 whose combination of them is
     the center, and the band widens by 100x, at most twice, until the
-    residual is at most 1e-9 * max(1, radius).  Returns the support (the
+    residual is at most 1e-9 * max(1, radius, largest |coordinate|).
+    Returns the support (the
     candidates with weight > 1e-12), the residual and the candidates.
     """
     from scipy.optimize import nnls
@@ -150,7 +151,7 @@ def support_certificate_nnls(points, center, radius):
         a = np.vstack([points[cand].T, np.ones(cand.size) * scale])
         b = np.concatenate([center, [scale]])
         weights, resid = nnls(a, b)
-        if resid <= 1e-9 * scale:
+        if resid <= 1e-9 * max(scale, np.abs(points).max()):
             return tuple(int(i) for i in cand[weights > 1e-12]), float(resid), cand
         tol *= 100.0
     raise AssertionError(f"nnls could not certify the center (residual {resid!r})")

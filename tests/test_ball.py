@@ -19,6 +19,7 @@ from qcompact import (
     jung_ratio,
 )
 from qcompact import ball as ball_module
+from qcompact.ball import hull_bound
 from qcompact.tolerances import HULL_TOL
 
 from oracles import meb_by_subsets, meb_grid_1e6, meb_welzl_recursive, support_certificate_nnls
@@ -37,8 +38,9 @@ def point_cloud(max_dim=3, max_points=7):
 
 
 def assert_certificate(pts, out):
-    """Every point inside, support on the sphere, center in the support hull,
-    each up to a bound that scales with ``max(1, radius)``."""
+    """Every point inside and the support on the sphere, each up to a bound
+    that scales with ``max(1, radius)``, and the center in the support hull
+    up to one that also scales with the largest coordinate."""
     from scipy.optimize import nnls
 
     arr = np.asarray(pts, dtype=float)
@@ -48,10 +50,11 @@ def assert_certificate(pts, out):
     assert len(out.support) <= arr.shape[1] + 1
     for i in out.support:
         assert dists[i] == pytest.approx(out.radius, abs=1e-7 * scale)
-    assert out.hull_residual <= 1e-9 * scale
+    hull_scale = max(scale, np.abs(arr).max())
+    assert out.hull_residual <= 1e-9 * hull_scale
     sup = arr[list(out.support)]
     _, resid = nnls(np.vstack([sup.T, np.ones(len(sup))]), np.append(out.center, 1.0))
-    assert resid <= 1e-9 * scale
+    assert resid <= 1e-9 * hull_scale
 
 
 class TestChebyshevCenter:
@@ -146,6 +149,18 @@ class TestChebyshevCenter:
         pts = np.random.default_rng(1).standard_normal((50, 3)) * scale
         with pytest.raises(InternalConsistencyError, match="misses a point"):
             chebyshev_center(pts)
+
+    def test_far_single_points_certify(self):
+        """The hull residual's rounding grows with the coordinates, not the
+        radius: a single point near 1e9 leaves 7.7e-7, and its bound is
+        ``HULL_TOL`` times its largest coordinate."""
+        clouds = [np.array([[1e9 + 1, 2e9, 3e9]])]
+        clouds += [np.random.default_rng(s).standard_normal((1, 3)) * 1e9 for s in range(200)]
+        for pts in clouds:
+            out = chebyshev_center(pts)
+            assert out.radius == 0.0
+            assert out.hull_residual <= hull_bound(pts, 0.0)
+            assert_certificate(pts, out)
 
 
 class TestPivoting:
@@ -252,7 +267,7 @@ class TestSupportCertificate:
         want, want_resid, cand = support_certificate_nnls(pts, out.center, out.radius)
         if cand.size <= dim + 1:
             assert out.support == want
-        bound = HULL_TOL * max(1.0, out.radius)
+        bound = hull_bound(pts, out.radius)
         assert out.hull_residual <= bound
         assert want_resid <= bound
         assert_certificate(pts, out)
@@ -298,15 +313,15 @@ def _count_scalar_calls(monkeypatch) -> list:
 
 def assert_batched_balls(sets, centers, radii):
     """Each ball has the radius of ``chebyshev_center`` and of the subset
-    oracle, contains its set and has a valid support hull, each up to
-    ``HULL_TOL * max(1, radius)``."""
+    oracle and contains its set, each up to ``HULL_TOL * max(1, radius)``,
+    and has a valid support hull up to ``hull_bound``."""
     for pts, center, radius in zip(sets, centers, radii):
         bound = HULL_TOL * max(1.0, radius)
         assert abs(radius - chebyshev_center(pts).radius) <= bound
         assert abs(radius - meb_by_subsets(pts)[1]) <= bound
         assert np.sqrt(((pts - center) ** 2).sum(axis=1)).max() <= radius + bound
         _, resid, _ = support_certificate_nnls(pts, center, radius)
-        assert resid <= bound
+        assert resid <= hull_bound(pts, radius)
 
 
 class TestChebyshevCenters:
@@ -351,6 +366,19 @@ class TestChebyshevCenters:
     def test_degenerate_sets_certify(self, pts):
         sets = np.asarray(pts, dtype=float)[None]
         assert_batched_balls(sets, *chebyshev_centers(sets))
+
+    def test_far_sets_certify(self):
+        """Unit-spread sets near 1e9, whose hull residuals reach about 1e-8
+        from rounding alone: the batched gate and the scalar solver both
+        bound them by ``hull_bound``, which scales with the coordinates."""
+        sets = np.random.default_rng(3).standard_normal((50, 3, 3)) + 1e9
+        centers, radii = chebyshev_centers(sets)
+        for pts, center, radius in zip(sets, centers, radii):
+            bound = HULL_TOL * max(1.0, radius)
+            assert abs(radius - chebyshev_center(pts).radius) <= bound
+            assert np.sqrt(((pts - center) ** 2).sum(axis=1)).max() <= radius + bound
+            _, resid, _ = support_certificate_nnls(pts, center, radius)
+            assert resid <= hull_bound(pts, radius)
 
     @pytest.mark.parametrize("corrupt", ["weights", "radii"])
     def test_rejected_balls_come_from_the_scalar_solver(self, corrupt, monkeypatch):

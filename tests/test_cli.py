@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from qcompact import cli
 from qcompact.cli import _load_measures, main
 
 
@@ -339,6 +341,24 @@ class TestInputErrors:
     def test_out_to_the_null_device_writes_in_place(self, files):
         assert main(["tv-dist", files["p"], files["q"], "--out", os.devnull]) == 0
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+    def test_report_that_fails_in_its_last_row(self, files, tmp_path, capsys, monkeypatch):
+        """A NaN in the last row of a report's array: a file target keeps its
+        bytes and gets no temporary file left beside it, stdout and the null
+        device get nothing, and the error is that of a report never begun."""
+        flow = np.full((40, 3), 0.25)
+        flow[-1, -1] = np.nan
+        command = cli.COMMANDS["tv-dist"]
+        fake = dataclasses.replace(command, run=lambda cfg: ({"flow": flow}, None, 0))
+        monkeypatch.setitem(cli.COMMANDS, "tv-dist", fake)
+        target = tmp_path / "reports" / "tv.json"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        for out in ([], ["--out", str(target)], ["--out", os.devnull]):
+            assert main(["tv-dist", files["p"], files["q"], *out]) == 1
+            assert capsys.readouterr() == ("", "error: cannot serialize non-finite float nan\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in target.parent.iterdir()] == ["tv.json"]
 
 
 class TestInlineSpaces:

@@ -1,6 +1,6 @@
 """Golden reports: every CLI command run on small committed inputs, with its
 stdout, stderr and exit code compared byte for byte against
-``tests/golden/expected``.
+``tests/golden/expected``, and run again with its report written to a file.
 
 Inputs live in ``tests/golden/inputs`` and are named relative to it; reports
 record only input basenames and hashes, so the bytes do not depend on where
@@ -117,6 +117,25 @@ def test_golden(name, monkeypatch):
     assert code == want_code
     assert out == _read(_out_file(name, argv))
     assert err == _read(EXPECTED / (name + ".err"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_written_to_a_file(name, monkeypatch, tmp_path):
+    """Each case again with ``--out``: the file, which the report writer
+    streams, holds the golden stdout bytes, and a failing case writes none."""
+    argv, want_code = CASES[name]
+    monkeypatch.chdir(INPUTS)
+    target = tmp_path / "report"
+    code, out, err = run_case([*argv, "--out", str(target)])
+    assert code == want_code
+    assert out == ""
+    assert err == _read(EXPECTED / (name + ".err"))
+    golden = _out_file(name, argv)
+    if golden.exists():
+        assert target.read_bytes() == golden.read_bytes()
+    else:
+        assert not target.exists()
+    assert [p.name for p in tmp_path.iterdir()] == (["report"] if golden.exists() else [])
 
 
 def regenerate() -> None:

@@ -1,5 +1,7 @@
 """transport_flow against an exact integer max-flow and the min-cut identity."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,3 +58,22 @@ def test_float_flow_is_feasible_and_meets_its_cut(net):
     cut = p_mass[~reach_p].sum() + q_mass[allowed[reach_p].any(axis=0)].sum()
     assert abs(value - cut) <= FLOW_TOL
     assert abs(value - flow.sum()) <= FLOW_TOL
+
+
+def test_flow_state_grows_with_the_pairs_used():
+    """On a 400 x 400 banded network the solver keeps only the pairs that
+    carry flow: beyond the dense matrix it returns, it allocates less than
+    half of what one |P| x |Q| table of references would take."""
+    n = 400
+    rng = np.random.default_rng(0)
+    p_mass, q_mass = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    i = np.arange(n)
+    allowed = np.abs(i[:, None] - i[None, :]) <= 3
+    tracemalloc.start()
+    try:
+        flow, value, _ = transport_flow(p_mass, q_mass, allowed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.5
+    assert peak - flow.nbytes < n * n * 8 / 2

@@ -217,6 +217,21 @@ class TestEuclideanMatrix:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
 
+    def test_coordinate_space_holds_its_matrix_once(self):
+        """The space keeps the matrix it computed, symmetrized in place, so
+        building it holds one n^2 matrix plus block-sized scratch (at N = 3,
+        0.13 of a matrix for the difference block and as much for one
+        boolean check at a time)."""
+        n = 1500
+        coords = np.random.default_rng(0).random((n, 3))
+        tracemalloc.start()
+        try:
+            FiniteMetricSpace(coords=coords, validate_triangle=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * n * n * 8
+
 
 class TestIndexSet:
     def test_sorted_dedup(self):

@@ -1,13 +1,14 @@
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcompact.serialize import dumps_deterministic, to_jsonable, write_atomic
+from qcompact.serialize import dumps_deterministic, to_jsonable, write_atomic, write_report
 
 from oracles import dumps_recursive
 
@@ -59,6 +60,14 @@ def test_dumps_matches_the_recursive_writer(tree):
     assert dumps_deterministic(tree) == dumps_recursive(tree)
 
 
+def _outcome(write, tree):
+    """The text ``write`` gives for ``tree``, or the error it raises."""
+    try:
+        return write(tree)
+    except ValueError as exc:
+        return repr(exc)
+
+
 @pytest.mark.parametrize(
     "array",
     [
@@ -70,12 +79,57 @@ def test_dumps_matches_the_recursive_writer(tree):
         np.array([1, 2.5, "x", None, [0.5]], dtype=object),
         np.zeros((0, 3)),
         np.float64(2.5) * np.ones(()),
+        np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 7,
+        np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7,
+        np.array([[[-0.0, 5e-324]], [[0.1, -5e-324]]]),
+        np.array([[1, 2.5], ["x", None]], dtype=object),
+        np.zeros((3, 0)),
+        np.zeros((2, 0, 3), dtype=np.float32),
+        np.array([[0.5, -0.0], [5e-324, np.inf]]),
+        np.array([[[0.5, -np.inf]]], dtype=np.float32),
     ],
 )
-def test_arrays_match_the_recursive_writer(array):
+def test_arrays_match_the_recursive_writer(array, tmp_path):
     tree = {"a": array, "rows": [array, array]}
-    assert dumps_deterministic(tree) == dumps_recursive(tree)
+    want = _outcome(dumps_recursive, tree)
+    assert _outcome(dumps_deterministic, tree) == want
+    target = tmp_path / "report.json"
+    raised = _outcome(lambda t: write_report(str(target), t), tree)
+    if raised is None:
+        assert target.read_text() == want
+    else:
+        assert raised == want and not target.exists()
     assert to_jsonable(array) == array.tolist()
+
+
+def test_writing_a_coupling_holds_one_row_at_a_time(tmp_path):
+    """A report with a 1000 x 1000 float coupling (a 22 MB file) is written
+    with under 2 MiB of memory beyond the array itself."""
+    coupling = np.random.default_rng(0).random((1000, 1000))
+    report = {"certificate": {"flow": coupling, "lam": 1.0}, "status_code": 0}
+    target = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_report(str(target), report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert target.stat().st_size > 20 * 10**6
+
+
+def test_write_report_gives_a_fifo_the_whole_text(tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    tree = {"flow": np.arange(12.0).reshape(3, 4) / 3}
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    write_report(str(fifo), tree)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [dumps_deterministic(tree)]
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
