@@ -81,20 +81,62 @@ def _check_triangle(dist: np.ndarray, tol: float) -> None:
             )
 
 
+def _coordinate_triangle_bound(n_dim: int, given: bool) -> float:
+    """How far rounding can take a space built from ``n_dim``-dimensional
+    coordinates past the triangle inequality, relative to
+    ``max(1, diameter)``: every ``d_ij - fl(d_ik + d_kj)``, the scan's own
+    roundings included, stays below the returned value times that scale.
+    While the value is below ``TRIANGLE_SLACK`` the scan cannot fail, so
+    the constructor skips it.  ``given`` adds the room of a ``dist`` passed
+    together with the coordinates.
+
+    With u the unit roundoff and g = gamma_{N+3} = (N+3)u / (1 - (N+3)u),
+    each computed distance is ``d(1 + t) + e`` with ``|t| <= g`` (one
+    rounding per difference, square and sum of the N squares, half the
+    relative error through ``sqrt`` plus its own rounding; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, 3.1)
+    and an underflow term ``|e| <= sqrt(N * 2^-1074) = sqrt(N) * 2^-537``
+    (each square loses at most half the smallest subnormal; differences and
+    sums do not underflow).  Symmetrizing by ``min`` and the exact zero
+    diagonal keep this.  The true distances satisfy the triangle inequality
+    exactly, so for any triple, with D the largest computed distance and
+    M = max(1, D), the computed excess ``d_ij - d_ik - d_kj`` is at most
+    ``3g(D + e) / (1 - g) + 3e``.  The scan's own sums ``fl(d_ik + d_kj)``
+    and ``fl(. + tol)`` lose at most ``u(4D + tol)(1 + u)`` more.  As
+    g >= 4u, all of this is below ``(6g + 3e) * M``.  A ``dist`` given with
+    the coordinates differs from the computed one by at most
+    ``COORD_MATCH_RTOL * M`` per entry (the constructor's match check), which
+    adds ``3 * COORD_MATCH_RTOL * M`` to each excess; the few ulps by which
+    its own diameter may differ are covered by the spare g.
+
+    At N = 16 the bound is about 1.3e-14; it reaches ``TRIANGLE_SLACK``
+    near N = 1.5e6, where the constructor runs the scan as for any ``dist``.
+    The computed matrix must be finite, which the constructor checks first.
+    """
+    u = np.finfo(float).eps / 2
+    g = (n_dim + 3) * u / (1 - (n_dim + 3) * u)
+    e = np.sqrt(n_dim * np.finfo(float).smallest_subnormal)
+    return float(6 * g + 3 * e + (3 * COORD_MATCH_RTOL if given else 0.0))
+
+
 class FiniteMetricSpace:
     """A finite point set with an explicit symmetric distance matrix.
 
     The matrix is validated on construction: zero diagonal, exact symmetry,
     nonnegativity, and (unless ``validate_triangle=False``) the triangle
     inequality over every triple, up to ``TRIANGLE_SLACK`` times
-    ``max(1, diameter)``.  The triangle check runs for every space,
-    coordinate spaces included: an O(n^3) min-plus scan over blocks of
-    ``TRIANGLE_BLOCK`` rows, with block-sized scratch arrays only.  On one
-    core of a 2-vCPU Xeon it takes about 1.2 s at n = 1000, 9.4 s at
-    n = 2000 and 31 s at n = 3000.  When
-    Euclidean coordinates are supplied the matrix must agree with them to
-    ``COORD_MATCH_RTOL`` relative tolerance.  Instances are immutable; the
-    arrays are write-protected.
+    ``max(1, diameter)``.  A ``dist`` given alone is checked by an O(n^3)
+    min-plus scan over blocks of ``TRIANGLE_BLOCK`` rows, with block-sized
+    scratch arrays only; on one core of a 2-vCPU Xeon it takes about 0.8 s
+    at n = 1000 and 23 s at n = 3000.  A space built from coordinates, with
+    or without a given ``dist``, needs no scan: Euclidean distances satisfy
+    the inequality exactly, and ``_coordinate_triangle_bound`` bounds what
+    rounding can add, far below the slack for any dimension up to about
+    10^6 (beyond it the scan runs).  Such a space builds in about 0.03 s at
+    n = 1000 and 0.5 s at n = 3000 in the plane.  When Euclidean coordinates
+    are supplied the matrix must agree with them to ``COORD_MATCH_RTOL``
+    relative tolerance, and coordinates whose distances overflow are
+    rejected.  Instances are immutable; the arrays are write-protected.
 
     The space holds one n x n matrix.  A matrix it computes from coordinates
     is kept as built, with no copy, so construction peaks at that matrix plus
@@ -117,12 +159,17 @@ class FiniteMetricSpace:
                 raise ValueError("coords must be a nonempty 2-d array of shape (n, N)")
             if not np.isfinite(coords).all():
                 raise ValueError("coords must be finite")
-            computed = _euclidean_matrix(coords)
+            scan = _coordinate_triangle_bound(coords.shape[1], dist is not None) >= TRIANGLE_SLACK
+            with np.errstate(over="ignore"):
+                computed = _euclidean_matrix(coords)
+            largest = float(computed.max())
+            if not np.isfinite(largest):
+                raise ValueError("coordinates too large: a distance overflows")
             if dist is None:
                 dist = computed
             else:
                 dist = np.array(dist, dtype=float)
-                scale = max(1.0, float(computed.max(initial=0.0)))
+                scale = max(1.0, largest)
                 # the difference overwrites the computed matrix, which is not kept
                 if dist.shape != computed.shape or np.abs(
                     np.subtract(dist, computed, out=computed), out=computed
@@ -131,6 +178,7 @@ class FiniteMetricSpace:
             del computed
         else:
             dist = np.array(dist, dtype=float)
+            scan = True
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.shape[0] == 0:
             raise ValueError("dist must be a nonempty square matrix")
         n = dist.shape[0]
@@ -142,7 +190,7 @@ class FiniteMetricSpace:
             raise ValueError("dist must be symmetric")
         if (dist < 0.0).any():
             raise ValueError("dist must be nonnegative")
-        if validate_triangle:
+        if validate_triangle and scan:
             _check_triangle(dist, TRIANGLE_SLACK * max(1.0, float(dist.max())))
         dist.setflags(write=False)
         object.__setattr__(self, "dist", dist)

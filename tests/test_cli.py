@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qcompact
 from qcompact import cli
 from qcompact.cli import _load_measures, main
 
@@ -329,6 +332,21 @@ class TestInputErrors:
         assert main([command, bad, *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+
+    def test_overflowing_coordinates(self, tmp_path):
+        """Finite coordinates whose distances overflow print one error line
+        that names them, and no numpy warning, in a fresh process."""
+        big = write_json(tmp_path / "big.json", {"coords": [[1e200, 0.0], [-1e200, 0.0]]})
+        p = write_json(tmp_path / "p.json", {"space": "big.json", "mass": [0.5, 0.5]})
+        src = os.path.dirname(os.path.dirname(qcompact.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run(
+            [sys.executable, "-m", "qcompact.cli", "tv-dist", p, p],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr == f"error: {big}: coordinates too large: a distance overflows\n"
 
     def test_out_naming_a_directory(self, files, tmp_path, capsys):
         target = tmp_path / "reports"

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import euclidean_all_pairs, triangle_holds_per_k
 from qcompact import FiniteMetricSpace, IndexSet, inflate, open_ball
-from qcompact.metric import EUCLID_BLOCK, TRIANGLE_BLOCK, _euclidean_matrix
-from qcompact.tolerances import TRIANGLE_SLACK
+from qcompact import metric
+from qcompact.metric import (
+    EUCLID_BLOCK,
+    TRIANGLE_BLOCK,
+    _coordinate_triangle_bound,
+    _euclidean_matrix,
+)
+from qcompact.tolerances import COORD_MATCH_RTOL, TRIANGLE_SLACK
 
 
 def line_space(n=3):
@@ -191,6 +198,98 @@ class TestTriangleScan:
         )
 
 
+def hard_cloud(kind: str, n: int, n_dim: int, rng) -> np.ndarray:
+    """n points in dimension n_dim where the rounding of distances is hardest
+    on the triangle inequality."""
+    if kind == "gaussian":
+        return rng.standard_normal((n, n_dim))
+    if kind == "lattice":
+        # collinear triples at multiples of 1/8 are exact equalities
+        return rng.integers(-3, 4, (n, n_dim)) / 8.0
+    if kind == "far":
+        return 1e9 + rng.standard_normal((n, n_dim))
+    if kind == "tiny":
+        return 1e-150 * rng.standard_normal((n, n_dim))
+    # near-collinear, far from the origin: 10 ulps of noise off a line
+    direction = rng.standard_normal(n_dim)
+    direction /= np.linalg.norm(direction)
+    line = 1e6 + rng.uniform(-1.0, 1.0, (n, 1)) * direction
+    return line + 1e-9 * rng.standard_normal((n, n_dim))
+
+
+class TestCoordinateBound:
+    """Coordinate spaces skip the triangle scan on the strength of
+    ``_coordinate_triangle_bound``; these clouds check that the bound holds,
+    through the per-k oracle, far inside the scan's own tolerance."""
+
+    KINDS = ["gaussian", "lattice", "far", "tiny", "collinear"]
+    SIZES = [1, 2, EUCLID_BLOCK - 1, EUCLID_BLOCK, EUCLID_BLOCK + 1, 2 * EUCLID_BLOCK + 1]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from(SIZES),
+        n_dim=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        given_dist=st.booleans(),
+    )
+    def test_matrix_holds_the_bound(self, kind, n, n_dim, seed, given_dist):
+        """The computed matrix, or a ``dist`` given with the coordinates and
+        moved off it by up to the match tolerance (each pair up or down),
+        passes the per-k oracle at the bound itself."""
+        rng = np.random.default_rng(seed)
+        coords = hard_cloud(kind, n, n_dim, rng)
+        dist = FiniteMetricSpace(coords=coords).dist
+        if given_dist:
+            scale = max(1.0, float(dist.max()))
+            shift = np.triu(rng.choice([-0.99, 0.99], (n, n)), 1) * COORD_MATCH_RTOL * scale
+            moved = np.maximum(dist + shift + shift.T, 0.0)
+            np.fill_diagonal(moved, 0.0)
+            dist = FiniteMetricSpace(moved, coords=coords).dist
+        bound = _coordinate_triangle_bound(n_dim, given_dist)
+        assert bound < TRIANGLE_SLACK / (100 if given_dist else 1000)
+        assert triangle_holds_per_k(dist, bound * max(1.0, float(dist.max())))
+
+    def test_bound_holds_up_to_dimension_16_and_fails_at_ten_million(self):
+        for given_dist in (False, True):
+            assert _coordinate_triangle_bound(16, given_dist) < TRIANGLE_SLACK
+            assert _coordinate_triangle_bound(10**7, given_dist) >= TRIANGLE_SLACK
+
+    def test_scan_runs_only_where_it_can_fail(self, monkeypatch):
+        class Scanned(Exception):
+            pass
+
+        def scan(dist, tol):
+            raise Scanned
+
+        monkeypatch.setattr(metric, "_check_triangle", scan)
+        coords = np.random.default_rng(0).standard_normal((TRIANGLE_BLOCK + 1, 3))
+        dist = FiniteMetricSpace(coords=coords).dist
+        FiniteMetricSpace(dist, coords=coords)
+        FiniteMetricSpace(dist, validate_triangle=False)
+        with pytest.raises(Scanned):
+            FiniteMetricSpace(dist)
+        # where the bound cannot vouch for the coordinates, they are scanned
+        monkeypatch.setattr(
+            metric, "_coordinate_triangle_bound", lambda n_dim, given: TRIANGLE_SLACK
+        )
+        with pytest.raises(Scanned):
+            FiniteMetricSpace(coords=coords)
+        with pytest.raises(Scanned):
+            FiniteMetricSpace(dist, coords=coords)
+
+    @pytest.mark.parametrize(
+        "coords", [[[1e200, 0.0], [-1e200, 0.0]], [[1.5e308], [-1.5e308]]]
+    )
+    def test_overflowing_distances_name_the_coordinates(self, coords):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^coordinates too large: a distance overflows$"):
+                FiniteMetricSpace(coords=coords)
+            with pytest.raises(ValueError, match="^coordinates too large"):
+                FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]], coords=coords)
+
+
 class TestEuclideanMatrix:
     @pytest.mark.parametrize("n_dim", [1, 3, 16])
     @pytest.mark.parametrize(
@@ -200,7 +299,7 @@ class TestEuclideanMatrix:
         rng = np.random.default_rng(100 * n + n_dim)
         for coords in (rng.standard_normal((n, n_dim)), rng.integers(-3, 4, (n, n_dim)) / 8.0):
             assert (
-                FiniteMetricSpace(coords=coords, validate_triangle=False).dist.tobytes()
+                FiniteMetricSpace(coords=coords).dist.tobytes()
                 == euclidean_all_pairs(coords).tobytes()
             )
 
@@ -226,7 +325,7 @@ class TestEuclideanMatrix:
         coords = np.random.default_rng(0).random((n, 3))
         tracemalloc.start()
         try:
-            FiniteMetricSpace(coords=coords, validate_triangle=False)
+            FiniteMetricSpace(coords=coords)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -221,7 +221,7 @@ class TestProkhorovDistance:
         """Plain float masses leave a min-cut gap of about 1e-15 at the
         sweep's answer; that rounding must not fail the recheck."""
         rng = np.random.default_rng([13, 1])
-        space = FiniteMetricSpace(coords=rng.random((400, 2)), validate_triangle=False)
+        space = FiniteMetricSpace(coords=rng.random((400, 2)))
         raw = [rng.dirichlet(np.ones(400)) for _ in range(2)]
         P, Q = (DiscreteMeasure(space, m / m.sum()) for m in raw)
         res = prokhorov_distance(P, Q, 0.5)
@@ -235,7 +235,7 @@ class TestProkhorovDistance:
         all 1202 atoms."""
         m = 601
         coords = np.concatenate([2.0 * np.arange(m)[::-1], 2.0 * np.arange(m) + 1.0])
-        space = FiniteMetricSpace(coords=coords[:, None], validate_triangle=False)
+        space = FiniteMetricSpace(coords=coords[:, None])
         P = DiscreteMeasure(space, np.r_[np.full(m, 1.0 / m), np.zeros(m)])
         Q = DiscreteMeasure(space, np.r_[np.zeros(m), np.full(m, 1.0 / m)])
         assert isinstance(check_alpha(P, Q, 1.0, 1.0), CouplingCertificate)
