@@ -8,10 +8,14 @@ serialize to identical bytes, which the CLI relies on for reproducibility.
 The writer produces the text in pieces of at most one array row or one
 scalar: a numeric array of two or more dimensions is written row by row, each
 row reduced with ``tolist`` and its floats joined at once, since coupling
-matrices make up most of a report.  ``write_report`` streams those pieces
-into its temporary file, so writing a report holds the report's own arrays
-and one row's text at a time, not the whole matrix as Python floats or the
-whole text; ``dumps_deterministic`` joins them into one string.
+matrices make up most of a report.  A float64 row of at least ``WIDE_ROW``
+entries, such as a coupling row, which is mostly zeros, is checked for
+non-finite entries at once and writes "0" for each +0.0 without formatting
+it; only its other entries go through ``format``.  ``write_report`` streams
+those pieces into its temporary file, so writing a report holds the report's
+own arrays and one row's text at a time, not the whole matrix as Python
+floats or the whole text; ``dumps_deterministic`` joins them into one
+string.
 """
 
 from __future__ import annotations
@@ -43,6 +47,24 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")
+
+
+#: a 1-D float64 array at least this long is written by ``_wide_row``; a
+#: shorter one costs more in numpy calls than its formatting saves
+WIDE_ROW = 64
+
+
+def _wide_row(row: np.ndarray, pad: str) -> str:
+    """The JSON text of a 1-D float64 array at nesting depth ``pad``."""
+    if not np.isfinite(row).all():
+        for v in row.tolist():
+            format_float(v)  # raises on the first non-finite item
+    texts = ["0"] * row.size
+    shown = np.flatnonzero((row != 0.0) | np.signbit(row))  # -0.0 writes "-0"
+    for k, v in zip(shown.tolist(), row[shown].tolist()):
+        texts[k] = format(v, ".17g")
+    sep = ",\n" + pad + "  "
+    return "[\n" + pad + "  " + sep.join(texts) + "\n" + pad + "]"
 
 
 def _reduce(obj: Any) -> Any:
@@ -100,9 +122,12 @@ def _pieces(obj: Any, indent: int) -> Iterator[str]:
     """The JSON text of ``obj`` at nesting depth ``indent``, in pieces of at
     most one array row or one scalar."""
     obj = _reduce(obj)
-    if isinstance(obj, np.ndarray) and obj.ndim < 2:
-        obj = to_jsonable(obj)
     pad = "  " * indent
+    if isinstance(obj, np.ndarray) and obj.ndim < 2:
+        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size >= WIDE_ROW:
+            yield _wide_row(obj, pad)
+            return
+        obj = to_jsonable(obj)
     if obj is None:
         yield "null"
     elif obj is True:

@@ -4,12 +4,14 @@ Most are deliberately brute-force and share no code with the package's
 solvers: subset enumeration instead of flows, dense time grids
 instead of knot analysis, exhaustive boundary-subset search instead of the
 minimal-ball recursion, nonnegative least squares alone instead of the ball
-certificate's numpy solve.  Four keep an earlier, simpler form of a package
+certificate's numpy solve.  Five keep an earlier, simpler form of a package
 routine as the reference for a faster one: ``prokhorov_sweep_bisect`` (the
 index bisection, on the package's own flows and recheck),
 ``dumps_recursive`` (the report writer that formats one node at a time),
-``modulus_per_knot`` (the knot pairs listed one knot at a time) and
-``window_balls_per_window`` (one ``chebyshev_center`` call per window).
+``modulus_per_knot`` (the knot pairs listed one knot at a time),
+``window_balls_per_window`` (one ``chebyshev_center`` call per window) and
+``transport_flow_unpruned`` (Dinic's walk over every labelled atom, with
+every allowed pair listed up front).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from qcompact.ball import chebyshev_center
 from qcompact.maxflow import transport_flow
-from qcompact.tolerances import TIME_SLACK
+from qcompact.tolerances import RESIDUAL_EPS, TIME_SLACK
 from qcompact.prokhorov import ProkhorovResult, check_alpha_block
 
 
@@ -56,8 +58,12 @@ def feasible_by_subsets(p_mass, q_mass, dist, lam: float, alpha: float) -> bool:
 
 
 def dense_modulus(knots, values, delta: float, n_grid: int = 4001) -> float:
-    """Oscillation on a dense uniform time grid (lower bound on the true
-    sup; tight for PL paths up to the grid's resolution of the knots)."""
+    """Oscillation on a dense uniform time grid: over every pair of grid
+    times at most ``delta`` apart, and every grid time paired with the times
+    ``delta`` after and before it (a lower bound on the true sup; tight for
+    PL paths up to the grid's resolution of the knots).  The grid pairs
+    alone fall short of the sup by up to a slope times a grid step, since
+    ``delta`` is rarely a whole number of steps."""
     t = np.linspace(0.0, 1.0, n_grid)
     v = _interp(knots, values, t)
     window = int(np.floor(delta * (n_grid - 1) + 1e-9))
@@ -65,6 +71,11 @@ def dense_modulus(knots, values, delta: float, n_grid: int = 4001) -> float:
     for off in range(1, window + 1):
         diff = v[off:] - v[:-off]
         best = max(best, float(np.sqrt((diff * diff).sum(axis=1)).max()))
+    for shifted in (t + delta, t - delta):
+        inside = (shifted >= 0.0) & (shifted <= 1.0)
+        if inside.any():
+            diff = _interp(knots, values, shifted[inside]) - v[inside]
+            best = max(best, float(np.sqrt((diff * diff).sum(axis=1)).max()))
     return best
 
 
@@ -429,3 +440,104 @@ def dumps_recursive(obj) -> str:
     write(jsonable(obj), out, 0)
     out.append("\n")
     return "".join(out)
+
+
+def _neighbours(adj):
+    """Row r's True columns, ascending, for every row of a boolean matrix."""
+    cols = np.nonzero(adj)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def transport_flow_unpruned(p_mass, q_mass, allowed):
+    """``maxflow.transport_flow`` as a Dinic walk over every labelled atom:
+    the allowed pairs listed for every P-atom up front, a dead end found by
+    entering it, and every augmenting path walked again from its source.
+    The same augmenting paths in the same order, so the same flow matrix,
+    value and cut, bit for bit."""
+    rp = np.asarray(p_mass, dtype=float).tolist()
+    rq = np.asarray(q_mass, dtype=float).tolist()
+    p, q = len(rp), len(rq)
+    allowed = np.asarray(allowed, dtype=bool)
+    q_of = _neighbours(allowed)
+    into: list[dict[int, float]] = [{} for _ in range(q)]
+    total = 0.0
+    while True:
+        # Level search in layers P, Q, P, ...; atoms at or past the sink's
+        # level are dead ends, so it stops at the sink.  The search that misses
+        # the sink is the last: the P-atoms it reaches are a minimum cut.
+        level_p = [1 if r > RESIDUAL_EPS else -1 for r in rp]
+        level_q = [-1] * q
+        layer = [i for i in range(p) if level_p[i] == 1]
+        depth, sink = 1, -1
+        while layer:
+            q_layer = {j for i in layer for j in q_of[i] if level_q[j] < 0}
+            for j in q_layer:
+                level_q[j] = depth + 1
+            if any(rq[j] > RESIDUAL_EPS for j in q_layer):
+                sink = depth + 2
+                break
+            layer = {i for j in q_layer for i, f in into[j].items()
+                     if f > RESIDUAL_EPS and level_p[i] < 0}
+            for i in layer:
+                level_p[i] = depth + 2
+            depth += 2
+        if sink < 0:
+            break
+
+        # Blocking flow.  ``path`` alternates P- and Q-atoms, ``path[k]`` at
+        # level k + 1.  A cursor stays on an edge that pushed; a dead end is
+        # pruned to level -1.  A Q-atom's cursor -1 is its sink edge.  A
+        # Q-atom's back edges that can be on a level path in this phase are
+        # those carrying flow to a P-atom one level up now, ascending: a push
+        # only adds flow on pairs that lead one level down.
+        back_of = [
+            sorted(i for i, f in into[j].items()
+                   if f > RESIDUAL_EPS and level_p[i] == level_q[j] + 1)
+            for j in range(q)
+        ]
+        next_src, it_p, it_q, path = 0, [0] * p, [-1] * q, []
+        while True:
+            k = len(path)
+            if k == 0:
+                while next_src < p and (level_p[next_src] != 1
+                                        or rp[next_src] <= RESIDUAL_EPS):
+                    next_src += 1
+                if next_src == p:
+                    break
+                path.append(next_src)
+                continue
+            u = path[-1]
+            if k % 2 == 0 and it_q[u] < 0 and k + 1 == sink and rq[u] > RESIDUAL_EPS:
+                back = [into[j][i] for j, i in zip(path[1::2], path[2::2])]
+                f = min([rp[path[0]], *back, rq[u]])  # the bottleneck
+                rp[path[0]] -= f
+                for i, j in zip(path[::2], path[1::2]):
+                    into[j][i] = into[j].get(i, 0.0) + f
+                for j, i in zip(path[1::2], path[2::2]):
+                    into[j][i] -= f
+                rq[u] -= f
+                total += f
+                path = []
+                continue
+            # a P-atom's pair edges lead forward and never saturate; a
+            # Q-atom's lead back to P-atoms and carry their flow
+            fwd = k % 2
+            it, nbrs, nxt = (it_p, q_of[u], level_q) if fwd else (it_q, back_of[u], level_p)
+            t = max(it[u], 0)
+            while t < len(nbrs) and not (
+                nxt[nbrs[t]] == k + 1 and (fwd or into[u][nbrs[t]] > RESIDUAL_EPS)
+            ):
+                t += 1
+            it[u] = t
+            if t < len(nbrs):
+                path.append(nbrs[t])
+            else:
+                (level_p if fwd else level_q)[u] = -1
+                path.pop()
+
+    dense = np.zeros((p, q))
+    for j, col in enumerate(into):
+        if col:
+            dense[list(col), j] = list(col.values())
+    return dense, total, np.array(level_p) >= 0

@@ -87,6 +87,11 @@ def _outcome(write, tree):
         np.zeros((2, 0, 3), dtype=np.float32),
         np.array([[0.5, -0.0], [5e-324, np.inf]]),
         np.array([[[0.5, -np.inf]]], dtype=np.float32),
+        np.linspace(-1.0, 1.0, 64),
+        np.eye(70)[:3] * np.array([1.0, -0.0, 5e-324] * 23 + [0.1]),
+        np.where(np.arange(200) % 7, 0.0, np.arange(200) / 3).reshape(2, 100),
+        np.concatenate([np.zeros(80), [np.inf], -np.zeros(3)]),
+        np.concatenate([-np.zeros(70), [5e-324, -np.inf]]).reshape(1, 72),
     ],
 )
 def test_arrays_match_the_recursive_writer(array, tmp_path):
@@ -100,6 +105,19 @@ def test_arrays_match_the_recursive_writer(array, tmp_path):
     else:
         assert raised == want and not target.exists()
     assert to_jsonable(array) == array.tolist()
+
+
+WIDE_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, -0.0]) | FLOATS
+
+
+@given(st.lists(WIDE_ENTRIES, min_size=60, max_size=140), st.integers(1, 3))
+@settings(max_examples=100)
+def test_wide_rows_match_the_recursive_writer(row, n_rows):
+    """Rows on both sides of ``WIDE_ROW``, mostly zeros of both signs, as
+    arrays of one and two dimensions."""
+    wide = np.array(row * n_rows).reshape(n_rows, len(row))
+    tree = {"row": wide[0], "matrix": wide}
+    assert dumps_deterministic(tree) == dumps_recursive(tree)
 
 
 def test_writing_a_coupling_holds_one_row_at_a_time(tmp_path):
