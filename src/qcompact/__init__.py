@@ -24,9 +24,11 @@ from .paths import (
     PLPath,
     QAAReport,
     aa_net,
+    moduli,
     modulus,
     mu_uec_family,
     uniform_distance,
+    values_at,
     verify_qaa,
 )
 from .prokhorov import (
@@ -95,8 +97,10 @@ __all__ = [
     "jung_check",
     "JungCheck",
     "PLPath",
+    "values_at",
     "uniform_distance",
     "modulus",
+    "moduli",
     "mu_uec_family",
     "aa_net",
     "AANet",

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -366,7 +366,10 @@ def _run_aa_net(cfg: RunConfig):
     p = cfg.params
     net = aa_net(family, p["delta"], p["alpha"], p["bound_m"], p["eps"])
     table = [(i, s.achieved, s.bound) for i, s in enumerate(net.per_sample)]
-    return {"net": net}, table, EXIT_OK
+    # the net's fields and its lattice values, which only this report lists
+    report = {f.name: getattr(net, f.name) for f in fields(net)}
+    report["grid_points"] = net.grid_points
+    return {"net": report}, table, EXIT_OK
 
 
 def _run_verify_qprokh(cfg: RunConfig):

@@ -6,6 +6,13 @@ attained at finitely many candidate times and is computed exactly: the norm of
 a difference of two PL paths is convex on each merged-knot segment (max at the
 knots), and the oscillation over a closed time window is maximized at a vertex
 of the segment-pair feasibility polygons.
+
+The kernels work on families one knot grid at a time: the paths that share a
+grid are stacked and evaluated together by one interpolation routine, whose
+candidate times are worked out once per grid.  Every value is the one
+``PLPath.at`` gives for the path alone, bit for bit.  The stacked working
+arrays are taken in chunks of paths (and of candidate times) of at most
+``BATCH_ELEMENTS`` floats, or one path's own size when that is larger.
 """
 
 from __future__ import annotations
@@ -22,8 +29,10 @@ from .tolerances import CERT_TOL, PATH_BOUND_SLACK, TIME_SLACK
 
 __all__ = [
     "PLPath",
+    "values_at",
     "uniform_distance",
     "modulus",
+    "moduli",
     "mu_uec_family",
     "AANet",
     "aa_net",
@@ -75,11 +84,7 @@ class PLPath:
     def at(self, times) -> np.ndarray:
         """Evaluate at the given times (array-like in [0, 1]); exact at knots."""
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        seg = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, self.knots.size - 2)
-        t0 = self.knots[seg]
-        t1 = self.knots[seg + 1]
-        frac = (t - t0) / (t1 - t0)
-        return (1.0 - frac)[:, None] * self.values[seg] + frac[:, None] * self.values[seg + 1]
+        return _interp(self.values[None], _weights(self.knots, t))[0]
 
     @classmethod
     def constant(cls, value) -> "PLPath":
@@ -104,17 +109,134 @@ class PLPath:
         return f"PLPath(knots={self.knots.size}, n_dim={self.n_dim})"
 
 
+#: floats in one batched working array: stacked paths are evaluated in chunks
+#: of this many values (or of one path, when a path alone holds more)
+BATCH_ELEMENTS = 4096
+
+
+def _weights(knots, times):
+    """Where ``times`` fall on ``knots``: the segment of each time and the
+    weights of its two end values, as ``PLPath.at`` combines them."""
+    seg = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, knots.size - 2)
+    t0 = knots[seg]
+    t1 = knots[seg + 1]
+    frac = (times - t0) / (t1 - t0)
+    return seg, seg + 1, (1.0 - frac)[:, None], frac[:, None]
+
+
+def _interp(values, weights) -> np.ndarray:
+    """The (n, T, N) values at the times of ``weights`` of n paths stacked as
+    ``values`` (n, K, N) on one knot grid.  Each element is
+    ``(1 - frac) * v[seg] + frac * v[seg + 1]`` on its own path's values, so
+    it does not depend on which paths share the stack."""
+    seg, nxt, w0, w1 = weights
+    return w0 * np.take(values, seg, axis=1) + w1 * np.take(values, nxt, axis=1)
+
+
+def _grids(*families: Sequence[PLPath]) -> list[np.ndarray]:
+    """The indices i grouped by the dimension and the knot grids of
+    ``families[0][i], families[1][i], ...``, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, paths in enumerate(zip(*families)):
+        key = (paths[0].n_dim, *(x.knots.tobytes() for x in paths))
+        groups.setdefault(key, []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
+def _chunks(idx: np.ndarray, per_path: int) -> list[np.ndarray]:
+    """``idx`` in runs of paths whose working arrays, ``per_path`` floats a
+    path, hold at most ``BATCH_ELEMENTS`` floats together (one path at least)."""
+    step = max(1, BATCH_ELEMENTS // max(1, per_path))
+    return [idx[s : s + step] for s in range(0, idx.size, step)]
+
+
+def _stack(paths: Sequence[PLPath], idx: np.ndarray) -> np.ndarray:
+    return np.stack([paths[i].values for i in idx])
+
+
+def values_at(paths: Sequence[PLPath], times) -> np.ndarray:
+    """The (n, T, N) values of paths of one dimension at common ``times``:
+    ``paths[i].at(times)`` for each i, evaluated one knot grid at a time."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.empty((len(paths), times.size, paths[0].n_dim))
+    for idx in _grids(paths):
+        weights = _weights(paths[idx[0]].knots, times)
+        for part in _chunks(idx, times.size * out.shape[2]):
+            out[part] = _interp(_stack(paths, part), weights)
+    return out
+
+
 def _same_dim(x: PLPath, y: PLPath) -> None:
     if x.n_dim != y.n_dim:
         raise ValueError("paths have different dimensions")
 
 
+def _pair_distances(xs: Sequence[PLPath], ys: Sequence[PLPath]) -> np.ndarray:
+    """``uniform_distance(xs[i], ys[i])`` for each i: the pairs of one pair of
+    knot grids are evaluated together on the grids' merged knots.  The
+    square root is taken after the max over times; the correctly rounded
+    ``sqrt`` is monotone, so that gives the max of the roots bit for bit."""
+    out = np.empty(len(xs))
+    for idx in _grids(xs, ys):
+        kx, ky = xs[idx[0]].knots, ys[idx[0]].knots
+        t = np.union1d(kx, ky)
+        wx, wy = _weights(kx, t), _weights(ky, t)
+        for part in _chunks(idx, t.size * xs[idx[0]].n_dim):
+            diff = _interp(_stack(xs, part), wx) - _interp(_stack(ys, part), wy)
+            out[part] = (diff * diff).sum(axis=2).max(axis=1)
+    return np.sqrt(out, out=out)
+
+
 def uniform_distance(x: PLPath, y: PLPath) -> float:
     """sup over t of |x(t) - y(t)|, exact via the merged knot set."""
     _same_dim(x, y)
-    t = np.union1d(x.knots, y.knots)
-    diff = x.at(t) - y.at(t)
-    return float(np.sqrt((diff * diff).sum(axis=1)).max())
+    return float(_pair_distances([x], [y])[0])
+
+
+def _modulus_pairs(t: np.ndarray, delta: float, cap: int):
+    """The time pairs (s, u) among which a path on knots ``t`` attains its
+    oscillation at window ``delta``, in runs of at most ``cap`` pairs (or of
+    one knot's pairs, when a knot alone has more): every pair of knots
+    ``a < b < hi[a]``, then each knot with the time ``delta`` after it and
+    each with the time ``delta`` before it."""
+    counts = np.searchsorted(t, t + delta, side="right") - np.arange(t.size) - 1
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < t.size:
+        # the knots a in [lo, hi) whose pairs make up one run
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + cap, side="right")))
+        n = counts[lo:hi]
+        a = np.repeat(np.arange(lo, hi), n)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(n) - n, n)
+        yield t[a], t[b]
+        lo = hi
+    mask = t + delta <= 1.0 + TIME_SLACK
+    yield t[mask], np.minimum(t[mask] + delta, 1.0)
+    mask = t - delta >= -TIME_SLACK
+    yield np.maximum(t[mask] - delta, 0.0), t[mask]
+
+
+def moduli(paths: Sequence[PLPath], deltas) -> np.ndarray:
+    """``modulus(paths[i], deltas[j])`` for every i and j, as an (n, m)
+    array.  The paths of one knot grid share their candidate times, which
+    are listed once per grid and width."""
+    deltas = [float(d) for d in deltas]
+    if any(d <= 0.0 for d in deltas):
+        raise ValueError("delta must be > 0")
+    # squared oscillations; the root of the max is the max of the roots
+    sq = np.zeros((len(paths), len(deltas)))
+    for idx in _grids(paths):
+        knots, n_dim = paths[idx[0]].knots, paths[idx[0]].n_dim
+        for j, delta in enumerate(deltas):
+            for s, u in _modulus_pairs(knots, delta, BATCH_ELEMENTS // n_dim):
+                if s.size == 0:
+                    continue
+                ws, wu = _weights(knots, s), _weights(knots, u)
+                for part in _chunks(idx, s.size * n_dim):
+                    v = _stack(paths, part)
+                    diff = _interp(v, wu) - _interp(v, ws)
+                    sq[part, j] = np.maximum(sq[part, j], (diff * diff).sum(axis=2).max(axis=1))
+    return np.sqrt(sq, out=sq)
 
 
 def modulus(x: PLPath, delta: float) -> float:
@@ -124,35 +246,14 @@ def modulus(x: PLPath, delta: float) -> float:
     which is attained either at a pair of knots or at a pair at exact gap
     delta with one endpoint a knot; all such candidates are enumerated.
     """
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    t = x.knots
-    # the knot pairs a < b < hi[a], grouped by a
-    counts = np.searchsorted(t, t + delta, side="right") - np.arange(t.size) - 1
-    a = np.repeat(np.arange(t.size), counts)
-    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    s_list = [t[a]]
-    t_list = [t[b]]
-    mask = t + delta <= 1.0 + TIME_SLACK
-    s_list.append(t[mask])
-    t_list.append(np.minimum(t[mask] + delta, 1.0))
-    mask = t - delta >= -TIME_SLACK
-    s_list.append(np.maximum(t[mask] - delta, 0.0))
-    t_list.append(t[mask])
-    s_all = np.concatenate(s_list)
-    t_all = np.concatenate(t_list)
-    if s_all.size == 0:
-        return 0.0
-    diff = x.at(t_all) - x.at(s_all)
-    return float(np.sqrt((diff * diff).sum(axis=1)).max(initial=0.0))
+    return float(moduli([x], [delta])[0, 0])
 
 
 def mu_uec_family(family: Sequence[PLPath], delta: float) -> float:
     """Worst oscillation over the family at window width delta."""
     if not family:
         raise ValueError("family must be nonempty")
-    return max(modulus(x, delta) for x in family)
+    return float(moduli(family, [delta]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +291,6 @@ class AANet:
     members: tuple[PLPath, ...]
     per_sample: tuple[PerSample, ...]
     sampling_slack: float
-    grid_points: np.ndarray
 
     @property
     def certified_bound(self) -> float:
@@ -199,6 +299,11 @@ class AANet:
     @property
     def covering_achieved(self) -> float:
         return max(s.achieved for s in self.per_sample)
+
+    @property
+    def grid_points(self) -> np.ndarray:
+        """The distinct lattice values the members take, as sorted rows."""
+        return np.unique(np.concatenate([m.values for m in self.members]), axis=0)
 
 
 def _window_grid(delta: float) -> tuple[np.ndarray, list[tuple[float, float]]]:
@@ -218,33 +323,50 @@ def _window_grid(delta: float) -> tuple[np.ndarray, list[tuple[float, float]]]:
     return t, windows
 
 
-def _window_values(x: PLPath, lo: np.ndarray, hi: np.ndarray):
-    """The path's points in each window [lo, hi]: its value at lo, at each
-    knot strictly inside and at hi, in time order, from one evaluation.
-    Returns them stacked window after window, with the count per window."""
-    first = np.searchsorted(x.knots, lo, side="right")
-    sizes = np.searchsorted(x.knots, hi, side="left") - first + 2
+def _window_times(knots: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The times of a path's points in each window [lo, hi] for a path on
+    ``knots``: lo, each knot strictly inside and hi, in time order, stacked
+    window after window, with the count per window."""
+    first = np.searchsorted(knots, lo, side="right")
+    sizes = np.searchsorted(knots, hi, side="left") - first + 2
     ends = np.cumsum(sizes)
     starts = ends - sizes
     # position of each point within its window; position p > 0 is the knot
     # first + p - 1, and the window's last position is overwritten by hi
     pos = np.arange(ends[-1]) - np.repeat(starts, sizes)
-    times = x.knots[np.minimum(np.repeat(first - 1, sizes) + pos, x.knots.size - 1)]
+    times = knots[np.minimum(np.repeat(first - 1, sizes) + pos, knots.size - 1)]
     times[starts] = lo
     times[ends - 1] = hi
-    return x.at(times), sizes
+    return times, sizes
+
+
+def _window_values(paths: Sequence[PLPath], lo: np.ndarray, hi: np.ndarray):
+    """Each path's points in each window [lo, hi] (see ``_window_times``),
+    stacked path after path and window after window, with the count per
+    path and window (n, W).  Each knot grid's times are listed once."""
+    grids = []
+    sizes = np.empty((len(paths), lo.size), dtype=np.intp)
+    for idx in _grids(paths):
+        t, sizes[idx] = _window_times(paths[idx[0]].knots, lo, hi)
+        grids.append((idx, t))
+    totals = sizes.sum(axis=1)
+    starts = np.cumsum(totals) - totals
+    values = np.empty((totals.sum(), paths[0].n_dim))
+    for idx, t in grids:
+        weights = _weights(paths[idx[0]].knots, t)
+        for part in _chunks(idx, t.size * values.shape[1]):
+            values[starts[part, None] + np.arange(t.size)] = _interp(_stack(paths, part), weights)
+    return values, sizes
 
 
 def _family_window_balls(family: Sequence[PLPath], windows):
     """Chebyshev centers (member, window, coordinate) and radii (member,
     window) of each member's points in each window."""
-    if family[0].n_dim == 1:
-        balls = [_window_balls(x, windows) for x in family]
-        return np.stack([c for c, _ in balls]), np.stack([r for _, r in balls])
     lo, hi = np.array(windows).T
-    values, sizes = zip(*(_window_values(x, lo, hi) for x in family))
-    values = np.concatenate(values)
-    sizes = np.concatenate(sizes)
+    if family[0].n_dim == 1:
+        return _window_balls(family, lo, hi)
+    values, sizes = _window_values(family, lo, hi)
+    sizes = sizes.ravel()
     starts = np.cumsum(sizes) - sizes
     centers = np.empty((sizes.size, values.shape[1]))
     radii = np.empty(sizes.size)
@@ -256,30 +378,43 @@ def _family_window_balls(family: Sequence[PLPath], windows):
     return centers.reshape(*shape, -1), radii.reshape(shape)
 
 
-def _window_balls(x: PLPath, windows) -> tuple[np.ndarray, np.ndarray]:
-    """Centers (one row per window) and radii of the balls of a 1-D path's
-    points in each window: the endpoint values and the inner knot values."""
-    # in 1-D the ball is [min, max]; one vectorised pass over all windows
-    # gives the same floats as chebyshev_center window by window
-    lo, hi = np.array(windows).T
-    v_lo = x.at(lo)[:, 0]
-    v_hi = x.at(hi)[:, 0]
-    # a trailing dummy lets reduceat take a window ending at the last knot
-    v_knots = np.append(x.at(x.knots)[:, 0], 0.0)
-    bounds = np.stack([
-        np.searchsorted(x.knots, lo, side="left"),
-        np.searchsorted(x.knots, hi, side="right"),
-    ], axis=1).ravel()
-    inner = bounds[1::2] > bounds[::2]
-    mins = np.minimum(v_lo, v_hi)
-    maxs = np.maximum(v_lo, v_hi)
-    mins[inner] = np.minimum(mins, np.minimum.reduceat(v_knots, bounds)[::2])[inner]
-    maxs[inner] = np.maximum(maxs, np.maximum.reduceat(v_knots, bounds)[::2])[inner]
-    # on a constant window the solver keeps the first point, the left end;
-    # taking it keeps the sign of a zero
-    flat = mins == maxs
-    mins[flat] = maxs[flat] = v_lo[flat]
-    return ((mins + maxs) / 2.0)[:, None], (maxs - mins) / 2.0
+def _window_balls(paths: Sequence[PLPath], lo: np.ndarray, hi: np.ndarray):
+    """Centers (path, window, 1) and radii (path, window) of the balls of 1-D
+    paths' points in each window [lo, hi]: the endpoint values and the inner
+    knot values."""
+    # in 1-D the ball is [min, max]; one vectorised pass over all windows of
+    # a chunk of paths gives the same floats as chebyshev_center window by
+    # window
+    centers = np.empty((len(paths), lo.size, 1))
+    radii = np.empty((len(paths), lo.size))
+    for idx in _grids(paths):
+        knots = paths[idx[0]].knots
+        w_lo, w_hi, w_knots = (_weights(knots, t) for t in (lo, hi, knots))
+        bounds = np.stack([
+            np.searchsorted(knots, lo, side="left"),
+            np.searchsorted(knots, hi, side="right"),
+        ], axis=1).ravel()
+        inner = bounds[1::2] > bounds[::2]
+        for part in _chunks(idx, max(knots.size + 1, bounds.size)):
+            v = _stack(paths, part)
+            v_lo = _interp(v, w_lo)[:, :, 0]
+            v_hi = _interp(v, w_hi)[:, :, 0]
+            # a trailing dummy lets reduceat take a window ending at the last knot
+            v_knots = np.zeros((part.size, knots.size + 1))
+            v_knots[:, :-1] = _interp(v, w_knots)[:, :, 0]
+            mins = np.minimum(v_lo, v_hi)
+            maxs = np.maximum(v_lo, v_hi)
+            low = np.minimum.reduceat(v_knots, bounds, axis=1)[:, ::2]
+            mins[:, inner] = np.minimum(mins, low)[:, inner]
+            high = np.maximum.reduceat(v_knots, bounds, axis=1)[:, ::2]
+            maxs[:, inner] = np.maximum(maxs, high)[:, inner]
+            # on a constant window the solver keeps the first point, the left
+            # end; taking it keeps the sign of a zero
+            flat = mins == maxs
+            mins[flat] = maxs[flat] = v_lo[flat]
+            centers[part, :, 0] = (mins + maxs) / 2.0
+            radii[part] = (maxs - mins) / 2.0
+    return centers, radii
 
 
 def aa_net(
@@ -311,12 +446,12 @@ def aa_net(
     if alpha > 2.0 * bound_m + PATH_BOUND_SLACK:
         raise ValueError("alpha cannot exceed twice the norm bound")
     n_dim = family[0].n_dim
-    for i, x in enumerate(family):
+    oscillations = moduli(family, [delta])[:, 0].tolist()
+    for i, (x, osc) in enumerate(zip(family, oscillations)):
         if x.n_dim != n_dim:
             raise ValueError(f"path {i} has dimension {x.n_dim}, expected {n_dim}")
         if x.sup_norm > bound_m + PATH_BOUND_SLACK:
             raise ValueError(f"path {i} has sup norm {x.sup_norm!r} > {bound_m!r}")
-        osc = modulus(x, delta)
         if osc > alpha + PATH_BOUND_SLACK:
             raise ValueError(
                 f"path {i} has oscillation {osc!r} > alpha = {alpha!r} at delta"
@@ -332,36 +467,35 @@ def aa_net(
 
     members: list[PLPath] = []
     member_keys: dict[bytes, int] = {}
-    per_sample = []
+    member_of = []
     all_centers, all_radii = _family_window_balls(family, windows)
-    for x, centers, radii in zip(family, all_centers, all_radii):
+    for centers in all_centers:
         values = centers[np.arange(grid_times.size) // 2]
         snapped = np.round(values / pitch) * pitch
         norms = np.sqrt((snapped * snapped).sum(axis=1))
         if norms.max(initial=0.0) > 3.0 * bound_m + eps + CERT_TOL:
             raise InternalConsistencyError("snapped net value escaped the 3M ball")
         key = snapped.tobytes()
-        if key in member_keys:
-            idx = member_keys[key]
-        else:
-            idx = len(members)
-            member_keys[key] = idx
+        if key not in member_keys:
+            member_keys[key] = len(members)
             members.append(PLPath(grid_times, snapped))
-        achieved = uniform_distance(members[idx], x)
-        if achieved > bound + CERT_TOL:
+        member_of.append(member_keys[key])
+    achieved = _pair_distances([members[k] for k in member_of], family).tolist()
+    per_sample = []
+    for idx, dist, radii in zip(member_of, achieved, all_radii):
+        if dist > bound + CERT_TOL:
             raise InternalConsistencyError(
-                f"achieved distance {achieved!r} exceeds certified bound {bound!r}"
+                f"achieved distance {dist!r} exceeds certified bound {bound!r}"
             )
         per_sample.append(
             PerSample(
                 member_index=idx,
-                achieved=achieved,
+                achieved=dist,
                 bound=bound,
                 window_radii_max=float(radii.max()),
             )
         )
 
-    grid_points = np.unique(np.concatenate([m.values for m in members]), axis=0)
     return AANet(
         delta=delta,
         alpha=alpha,
@@ -374,7 +508,6 @@ def aa_net(
         members=tuple(members),
         per_sample=tuple(per_sample),
         sampling_slack=0.0,
-        grid_points=grid_points,
     )
 
 

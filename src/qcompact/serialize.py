@@ -8,7 +8,9 @@ serialize to identical bytes, which the CLI relies on for reproducibility.
 The writer produces the text in pieces of at most one array row or one
 scalar: a numeric array of two or more dimensions is written row by row, each
 row reduced with ``tolist`` and its floats joined at once, since coupling
-matrices make up most of a report.  A float64 row of at least ``WIDE_ROW``
+matrices make up most of a report.  A list of float rows, such as a path's
+values with one short row per knot, gives one piece per row, its indent and
+separator included, without a generator call per row.  A float64 row of at least ``WIDE_ROW``
 entries, such as a coupling row, which is mostly zeros, is checked for
 non-finite entries at once and writes "0" for each +0.0 without formatting
 it; only its other entries go through ``format``.  ``write_report`` streams
@@ -154,21 +156,31 @@ def _pieces(obj: Any, indent: int) -> Iterator[str]:
     elif len(obj) == 0:
         yield "[]"
     elif all(type(v) is float for v in obj):
-        # a float row, the bulk of a coupling matrix: one join
-        if not all(map(math.isfinite, obj)):
-            for v in obj:
-                format_float(v)  # raises on the first non-finite item
-        sep = ",\n" + pad + "  "
-        items = sep.join([format(v, ".17g") for v in obj])
-        yield "[\n" + pad + "  " + items + "\n" + pad + "]"
+        yield _float_row(obj, pad)
     else:
-        # a list, a tuple, or an array of two or more dimensions: its rows
+        # a list, a tuple, or an array of two or more dimensions: its rows;
+        # a row of floats (a path's values hold one per knot) is one piece
         yield "[\n"
+        inner = pad + "  "
         for i, v in enumerate(obj):
-            yield pad + "  "
+            end = ",\n" if i + 1 < len(obj) else "\n"
+            if type(v) in (list, tuple) and v and all(type(u) is float for u in v):
+                yield inner + _float_row(v, inner) + end
+                continue
+            yield inner
             yield from _pieces(v, indent + 1)
-            yield ",\n" if i + 1 < len(obj) else "\n"
+            yield end
         yield pad + "]"
+
+
+def _float_row(row, pad: str) -> str:
+    """The JSON text of a nonempty list or tuple of floats at nesting depth
+    ``pad``, the bulk of a coupling matrix: one join."""
+    if not all(map(math.isfinite, row)):
+        for v in row:
+            format_float(v)  # raises on the first non-finite item
+    sep = ",\n" + pad + "  "
+    return "[\n" + pad + "  " + sep.join([format(v, ".17g") for v in row]) + "\n" + pad + "]"
 
 
 def _report_pieces(obj: Any) -> Iterator[str]:

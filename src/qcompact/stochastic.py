@@ -20,7 +20,7 @@ import numpy as np
 
 from .cover import covering_radius
 from .metric import FiniteMetricSpace
-from .paths import PLPath, aa_net, modulus
+from .paths import PLPath, aa_net, moduli, values_at
 from .prokhorov import probability_vector, prokhorov_sweep
 from .tolerances import CERT_TOL, NORM_BOUND_FLOOR
 
@@ -174,10 +174,11 @@ def mu_suec_hat(ensembles: Sequence[PathEnsemble], eps_grid, delta_grid) -> MuSu
         raise ValueError("eps_grid must be nonempty and positive")
     if not delta_grid or any(d <= 0.0 for d in delta_grid):
         raise ValueError("delta_grid must be nonempty and positive")
-    osc = [
-        np.array([[modulus(x, d) for d in delta_grid] for x in e.paths])
-        for e in ensembles
-    ]
+    # every ensemble's paths in one batch, split back per ensemble
+    osc = np.split(
+        moduli([x for e in ensembles for x in e.paths], delta_grid),
+        np.cumsum([e.n_paths for e in ensembles])[:-1],
+    )
     table = []
     for i, eps in enumerate(eps_grid):
         row = []
@@ -239,8 +240,8 @@ def path_distances(rows: Sequence[PLPath], cols: Sequence[PLPath]) -> np.ndarray
     if not rows or not cols:
         raise ValueError("need at least one path")
     times = np.unique(np.concatenate([x.knots for x in [*rows, *cols]]))
-    row_vals = np.stack([x.at(times) for x in rows])  # (n, T, N)
-    col_vals = np.stack([x.at(times) for x in cols])  # (m, T, N)
+    row_vals = values_at(rows, times)  # (n, T, N)
+    col_vals = values_at(cols, times)  # (m, T, N)
     m = len(cols)
     chunk = min(PATH_CHUNK, m)
     diff = np.empty((chunk, *col_vals.shape[1:]))

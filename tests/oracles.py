@@ -4,14 +4,16 @@ Most are deliberately brute-force and share no code with the package's
 solvers: subset enumeration instead of flows, dense time grids
 instead of knot analysis, exhaustive boundary-subset search instead of the
 minimal-ball recursion, nonnegative least squares alone instead of the ball
-certificate's numpy solve.  Five keep an earlier, simpler form of a package
-routine as the reference for a faster one: ``prokhorov_sweep_bisect`` (the
-index bisection, on the package's own flows and recheck),
+certificate's numpy solve.  The others keep an earlier, simpler form of a
+package routine as the reference for a faster one: ``prokhorov_sweep_bisect``
+(the index bisection, on the package's own flows and recheck),
 ``dumps_recursive`` (the report writer that formats one node at a time),
 ``modulus_per_knot`` (the knot pairs listed one knot at a time),
-``window_balls_per_window`` (one ``chebyshev_center`` call per window) and
+``window_balls_per_window`` (one ``chebyshev_center`` call per window),
 ``transport_flow_unpruned`` (Dinic's walk over every labelled atom, with
-every allowed pair listed up front).
+every allowed pair listed up front), and the path kernels one path at a
+time: ``path_at``, ``modulus_per_path``, ``uniform_distance_per_pair``,
+``window_balls_per_path`` and ``window_values_per_path``.
 """
 
 from __future__ import annotations
@@ -95,6 +97,92 @@ def _interp(knots, values, t):
     return (1.0 - frac)[:, None] * values[seg] + frac[:, None] * values[seg + 1]
 
 
+def path_at(x, times) -> np.ndarray:
+    """``PLPath.at`` on one path: evaluate at the given times (array-like in
+    [0, 1]); exact at knots."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    seg = np.clip(np.searchsorted(x.knots, t, side="right") - 1, 0, x.knots.size - 2)
+    t0 = x.knots[seg]
+    t1 = x.knots[seg + 1]
+    frac = (t - t0) / (t1 - t0)
+    return (1.0 - frac)[:, None] * x.values[seg] + frac[:, None] * x.values[seg + 1]
+
+
+def uniform_distance_per_pair(x, y) -> float:
+    """``paths.uniform_distance`` on one pair: sup over t of |x(t) - y(t)|,
+    exact via the merged knot set."""
+    t = np.union1d(x.knots, y.knots)
+    diff = path_at(x, t) - path_at(y, t)
+    return float(np.sqrt((diff * diff).sum(axis=1)).max())
+
+
+def modulus_per_path(x, delta: float) -> float:
+    """``paths.modulus`` on one path, its knot pairs ``a < b < hi[a]``
+    listed by one vectorised pass, every candidate evaluated at once."""
+    delta = float(delta)
+    if delta <= 0.0:
+        raise ValueError("delta must be > 0")
+    t = x.knots
+    # the knot pairs a < b < hi[a], grouped by a
+    counts = np.searchsorted(t, t + delta, side="right") - np.arange(t.size) - 1
+    a = np.repeat(np.arange(t.size), counts)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    s_list = [t[a]]
+    t_list = [t[b]]
+    mask = t + delta <= 1.0 + TIME_SLACK
+    s_list.append(t[mask])
+    t_list.append(np.minimum(t[mask] + delta, 1.0))
+    mask = t - delta >= -TIME_SLACK
+    s_list.append(np.maximum(t[mask] - delta, 0.0))
+    t_list.append(t[mask])
+    s_all = np.concatenate(s_list)
+    t_all = np.concatenate(t_list)
+    if s_all.size == 0:
+        return 0.0
+    diff = path_at(x, t_all) - path_at(x, s_all)
+    return float(np.sqrt((diff * diff).sum(axis=1)).max(initial=0.0))
+
+
+def window_values_per_path(x, lo: np.ndarray, hi: np.ndarray):
+    """``paths._window_values`` on one path: its points in each window
+    [lo, hi] (its value at lo, at each knot strictly inside and at hi, in
+    time order) stacked window after window, with the count per window."""
+    first = np.searchsorted(x.knots, lo, side="right")
+    sizes = np.searchsorted(x.knots, hi, side="left") - first + 2
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    pos = np.arange(ends[-1]) - np.repeat(starts, sizes)
+    times = x.knots[np.minimum(np.repeat(first - 1, sizes) + pos, x.knots.size - 1)]
+    times[starts] = lo
+    times[ends - 1] = hi
+    return path_at(x, times), sizes
+
+
+def window_balls_per_path(x, windows) -> tuple[np.ndarray, np.ndarray]:
+    """``paths._window_balls`` on one 1-D path: centers (one row per window)
+    and radii of the balls of its points in each window, from its min and
+    max there."""
+    lo, hi = np.array(windows).T
+    v_lo = path_at(x, lo)[:, 0]
+    v_hi = path_at(x, hi)[:, 0]
+    # a trailing dummy lets reduceat take a window ending at the last knot
+    v_knots = np.append(path_at(x, x.knots)[:, 0], 0.0)
+    bounds = np.stack([
+        np.searchsorted(x.knots, lo, side="left"),
+        np.searchsorted(x.knots, hi, side="right"),
+    ], axis=1).ravel()
+    inner = bounds[1::2] > bounds[::2]
+    mins = np.minimum(v_lo, v_hi)
+    maxs = np.maximum(v_lo, v_hi)
+    mins[inner] = np.minimum(mins, np.minimum.reduceat(v_knots, bounds)[::2])[inner]
+    maxs[inner] = np.maximum(maxs, np.maximum.reduceat(v_knots, bounds)[::2])[inner]
+    # on a constant window the solver keeps the first point, the left end;
+    # taking it keeps the sign of a zero
+    flat = mins == maxs
+    mins[flat] = maxs[flat] = v_lo[flat]
+    return ((mins + maxs) / 2.0)[:, None], (maxs - mins) / 2.0
+
+
 def modulus_per_knot(x, delta: float) -> float:
     """``paths.modulus`` with its knot pairs ``a < b < hi[a]`` listed by a
     Python loop over ``a``; the same candidate times in the same order."""
@@ -118,7 +206,7 @@ def modulus_per_knot(x, delta: float) -> float:
     t_all = np.concatenate(t_list)
     if s_all.size == 0:
         return 0.0
-    diff = x.at(t_all) - x.at(s_all)
+    diff = path_at(x, t_all) - path_at(x, s_all)
     return float(np.sqrt((diff * diff).sum(axis=1)).max(initial=0.0))
 
 
@@ -128,7 +216,7 @@ def window_points(x, lo: float, hi: float) -> np.ndarray:
     i0 = int(np.searchsorted(x.knots, lo, side="left"))
     i1 = int(np.searchsorted(x.knots, hi, side="right"))
     times = np.concatenate([[lo], x.knots[i0:i1], [hi]])
-    return x.at(times)
+    return path_at(x, times)
 
 
 def window_balls_per_window(family, windows):
@@ -290,11 +378,11 @@ def path_metric_per_row(paths) -> np.ndarray:
     """Uniform-norm distance matrix of PL paths, one row at a time: every
     pair on the union of all knots, a full (n - i, T, N) difference per row,
     ``sqrt`` before the max over times, then ``dist + dist.T``.  Paths are
-    evaluated with ``PLPath.at``, as in the package, so bits can be compared."""
+    evaluated with ``path_at``, as in the package, so bits can be compared."""
     times = paths[0].knots
     for x in paths[1:]:
         times = np.union1d(times, x.knots)
-    vals = np.stack([x.at(times) for x in paths])
+    vals = np.stack([path_at(x, times) for x in paths])
     n = len(paths)
     dist = np.zeros((n, n))
     for i in range(n):

@@ -1,30 +1,43 @@
 import math
+import pathlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcompact import (
+    AANet,
     PLPath,
     aa_net,
     jung_ratio,
+    moduli,
     modulus,
     mu_uec_family,
     sample_walks,
     uniform_distance,
+    values_at,
     verify_qaa,
+    verify_qsaa,
 )
 from qcompact import ball as ball_module
 from qcompact import paths as paths_module
-from qcompact.paths import _window_balls, _window_grid
+from qcompact.cli import main
+from qcompact.paths import _pair_distances, _window_balls, _window_grid, _window_values
+from qcompact.tolerances import TIME_SLACK
 
 from oracles import (
     dense_modulus,
     dense_uniform_distance,
     modulus_per_knot,
+    modulus_per_path,
+    path_at,
+    uniform_distance_per_pair,
+    window_balls_per_path,
     window_balls_per_window,
+    window_values_per_path,
 )
 
 
@@ -184,6 +197,157 @@ class TestMuUecFamily:
             mu_uec_family([], 0.1)
 
 
+KNOT_GRIDS = st.lists(st.integers(1, 99), max_size=8, unique=True).map(
+    lambda inner: [0.0, *sorted(k / 100 for k in inner), 1.0]
+) | st.lists(st.floats(0.001, 0.999), max_size=8, unique=True).map(
+    lambda inner: [0.0, *sorted(inner), 1.0]
+)
+PATH_VALUES = st.floats(-3, 3) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def mixed_grid_family(draw, n_dim=None):
+    """Paths on two or three knot grids, in mixed order: each grid but the
+    last is shared by one to three paths, the last belongs to one path."""
+    if n_dim is None:
+        n_dim = draw(st.sampled_from([1, 2, 3]))
+    grids = draw(st.lists(KNOT_GRIDS, min_size=2, max_size=3, unique_by=tuple))
+    uses = [g for g in grids[:-1] for _ in range(draw(st.integers(1, 3)))] + [grids[-1]]
+    family = []
+    for knots in draw(st.permutations(uses)):
+        row = st.lists(PATH_VALUES, min_size=n_dim, max_size=n_dim)
+        family.append(PLPath(knots, draw(st.lists(row, min_size=len(knots), max_size=len(knots)))))
+    return family
+
+
+@st.composite
+def critical_delta(draw, family):
+    """A window width where the candidate times change: a gap between two
+    knots of a path, one ulp either side of it, or a width that takes a knot
+    to within TIME_SLACK of 0 or 1."""
+    t = draw(st.sampled_from(family)).knots
+    a = draw(st.integers(0, t.size - 2))
+    b = draw(st.integers(a + 1, t.size - 1))
+    delta = draw(st.sampled_from([t[b] - t[a], 1.0 - t[a], t[b], 0.05, 0.3]))
+    nudge = draw(st.sampled_from([0.0, math.inf, -math.inf, TIME_SLACK / 2, -TIME_SLACK / 2]))
+    delta = float(np.nextafter(delta, nudge) if math.isinf(nudge) else delta + nudge)
+    assume(delta > 0.0)
+    return delta
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+#: working-array budgets that cut a small family into one-path chunks, into
+#: a few paths a chunk, and not at all
+BUDGETS = st.sampled_from([1, 5, 64, paths_module.BATCH_ELEMENTS])
+
+
+class TestBatchedKernelsMatchOnePathOracles:
+    """Each kernel, run on a family that mixes knot grids, gives every path
+    the bits of the one-path reference in ``oracles.py``, whatever the chunks."""
+
+    @given(mixed_grid_family(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_evaluation(self, family, times, budget):
+        times = np.array(times + [0.0, 1.0] + list(family[-1].knots))
+        with mock.patch.object(paths_module, "BATCH_ELEMENTS", budget):
+            stacked = values_at(family, times)
+        for x, got in zip(family, stacked, strict=True):
+            want = path_at(x, times)
+            assert same_bits(got, want) and same_bits(x.at(times), want)
+
+    @given(mixed_grid_family().flatmap(lambda f: st.tuples(
+        st.just(f), st.lists(critical_delta(f), min_size=1, max_size=3))), BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_moduli(self, family_deltas, budget):
+        family, deltas = family_deltas
+        with mock.patch.object(paths_module, "BATCH_ELEMENTS", budget):
+            table = moduli(family, deltas)
+        want = [[modulus_per_path(x, d) for d in deltas] for x in family]
+        assert same_bits(table, want)
+        assert same_bits([modulus(x, deltas[0]) for x in family], [w[0] for w in want])
+
+    @given(mixed_grid_family().flatmap(lambda f: st.tuples(st.just(f), st.permutations(f))), BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_uniform_distances(self, family_pairs, budget):
+        xs, ys = family_pairs
+        with mock.patch.object(paths_module, "BATCH_ELEMENTS", budget):
+            got = _pair_distances(xs, ys)
+        want = [uniform_distance_per_pair(x, y) for x, y in zip(xs, ys)]
+        assert same_bits(got, want)
+        assert same_bits([uniform_distance(x, y) for x, y in zip(xs, ys)], want)
+
+    @given(mixed_grid_family(), st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.7, 1.0]), BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_window_values(self, family, delta, budget):
+        lo, hi = np.array(_window_grid(delta)[1]).T
+        with mock.patch.object(paths_module, "BATCH_ELEMENTS", budget):
+            values, sizes = _window_values(family, lo, hi)
+        want = [window_values_per_path(x, lo, hi) for x in family]
+        assert same_bits(values, np.concatenate([v for v, _ in want]))
+        assert same_bits(sizes, np.stack([n for _, n in want]))
+
+    @given(mixed_grid_family(n_dim=1), st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.7, 1.0]), BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_window_balls_1d(self, family, delta, budget):
+        windows = _window_grid(delta)[1]
+        with mock.patch.object(paths_module, "BATCH_ELEMENTS", budget):
+            centers, radii = _window_balls(family, *np.array(windows).T)
+        want = [window_balls_per_path(x, windows) for x in family]
+        assert same_bits(centers, np.stack([c for c, _ in want]))
+        assert same_bits(radii, np.stack([r for _, r in want]))
+
+
+class TestBatchedWorkAndMemory:
+    def test_sandwiches_never_build_grid_points(self, monkeypatch, tmp_path):
+        reads = []
+        monkeypatch.setattr(AANet, "grid_points", property(lambda net: reads.append(net)))
+        family = random_family(np.random.default_rng(3), 2, 8)
+        verify_qaa(family, [0.1, 0.3], max(x.sup_norm for x in family), 0.05)
+        walks = [sample_walks(16, 10, seed=s) for s in (1, 2)]
+        verify_qsaa(walks, [1.0], [0.5], [0.1], [2.0], 0.1)
+        assert reads == []
+        # the aa-net report is where they are read (its golden file holds them)
+        inputs = pathlib.Path(__file__).parent / "golden" / "inputs"
+        argv = ["aa-net", str(inputs / "family.json"), "--delta", "0.25", "--alpha", "0.5",
+                "--bound-m", "2", "--eps", "0.2", "--out", str(tmp_path / "net.json")]
+        assert main(argv) == 0
+        assert len(reads) == 1
+
+    def test_long_paths_hold_a_fixed_memory_budget(self):
+        """aa_net on 400 paths of 1000 knots at delta = 0.5, some 500k
+        candidate time pairs a path, takes its moduli and net distances in
+        chunks: its traced peak stays under 2 MiB, under twice its peak on
+        one of the paths, and under one path's peak in the one-path modulus."""
+        rng = np.random.default_rng(11)
+        knots = np.linspace(0.0, 1.0, 1000)
+        steps = rng.standard_normal((400, 1000, 1)) / math.sqrt(1000.0)
+        family = [PLPath(knots, np.cumsum(s, axis=0)) for s in steps]
+        bound_m = max(x.sup_norm for x in family)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def net(paths):
+            return lambda: aa_net(paths, 0.5, 2.0 * bound_m, bound_m, 0.05)
+
+        net(family[:1])()
+        one = peak(net(family[:1]))
+        many = peak(net(family))
+        per_path = peak(lambda: modulus_per_path(family[0], 0.5))
+        assert many < 2 * 2**20
+        assert many < 2 * one
+        assert many < per_path
+
+
 class TestBridgeLemmas:
     """Linear interpolation between ball centers stays in the balls."""
 
@@ -223,7 +387,7 @@ class TestWindowBalls1D:
 
     def assert_same_as_solver(self, x, delta):
         _, windows = _window_grid(delta)
-        got_c, got_r = _window_balls(x, windows)
+        got_c, got_r = (a[0] for a in _window_balls([x], *np.array(windows).T))
         want_c, want_r = (a[0] for a in window_balls_per_window([x], windows))
         assert np.array_equal(got_c, want_c) and np.array_equal(got_r, want_r)
         # signed zeros too

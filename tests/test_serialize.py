@@ -95,7 +95,13 @@ def _outcome(write, tree):
     ],
 )
 def test_arrays_match_the_recursive_writer(array, tmp_path):
-    tree = {"a": array, "rows": [array, array]}
+    assert_writers_agree({"a": array, "rows": [array, array]}, tmp_path)
+    assert to_jsonable(array) == array.tolist()
+
+
+def assert_writers_agree(tree, tmp_path):
+    """``dumps_deterministic`` and ``write_report`` give the recursive
+    writer's text, or its error with no file left behind."""
     want = _outcome(dumps_recursive, tree)
     assert _outcome(dumps_deterministic, tree) == want
     target = tmp_path / "report.json"
@@ -104,7 +110,28 @@ def test_arrays_match_the_recursive_writer(array, tmp_path):
         assert target.read_text() == want
     else:
         assert raised == want and not target.exists()
-    assert to_jsonable(array) == array.tolist()
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.5], [1.0], [-2.5]],
+        [[-0.0], [0.0], [-0.0, 0.0]],
+        [[0.25, 1e308], [], [5e-324]],
+        [[], []],
+        ([0.5, 1.5], (2.5,), [3.5]),
+        [[0.5], [1, 2.5], [True], ["x"], [2.5]],
+        [[0.5], [1.0], [float("nan")]],
+        [[0.5], [-float("inf"), 1.0]],
+    ],
+)
+def test_float_row_lists_match_the_recursive_writer(rows, tmp_path):
+    """Lists of float rows (a path's values, one row per knot) are written a
+    row per piece: one-element rows, signed zeros, empty rows, rows that are
+    not all floats, and a non-finite float in the last row."""
+    path = {"knots": [0.0, 1.0], "values": rows}
+    assert_writers_agree({"paths": [path, path], "values": rows}, tmp_path)
 
 
 WIDE_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, -0.0]) | FLOATS
