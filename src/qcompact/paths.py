@@ -25,7 +25,7 @@ import numpy as np
 
 from .ball import chebyshev_centers, jung_ratio
 from .errors import InternalConsistencyError
-from .tolerances import CERT_TOL, PATH_BOUND_SLACK, TIME_SLACK
+from .tolerances import CERT_TOL, PATH_BOUND_SLACK
 
 __all__ = [
     "PLPath",
@@ -210,10 +210,10 @@ def _modulus_pairs(t: np.ndarray, delta: float, cap: int):
         b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(n) - n, n)
         yield t[a], t[b]
         lo = hi
-    mask = t + delta <= 1.0 + TIME_SLACK
-    yield t[mask], np.minimum(t[mask] + delta, 1.0)
-    mask = t - delta >= -TIME_SLACK
-    yield np.maximum(t[mask] - delta, 0.0), t[mask]
+    mask = t + delta <= 1.0
+    yield t[mask], t[mask] + delta
+    mask = t - delta >= 0.0
+    yield t[mask] - delta, t[mask]
 
 
 def moduli(paths: Sequence[PLPath], deltas) -> np.ndarray:

@@ -25,9 +25,6 @@ parameter:
 - ``NORM_BOUND_FLOOR``: ``verify_qsaa`` gives ``aa_net`` at least this as the
   norm bound, which must be positive, also when the kept paths are all zero
   (a norm level M* of 0).
-- ``TIME_SLACK``: ``modulus`` keeps the windows of width ``delta`` that
-  start or end at a knot while they reach past [0, 1] by at most this, the
-  rounding of ``t + delta`` and ``t - delta`` on knot times.
 - ``HULL_TOL``: a Chebyshev ball must contain every point up to this
   distance times ``max(1, radius)``, and its convex-hull certificate may
   leave this residual times ``max(1, radius, largest |coordinate|)``
@@ -37,27 +34,30 @@ parameter:
   ``jung_check`` compares the radius with ``diam/2`` and the Jung bound up
   to the containment slack.  The certificate is a nonnegative combination of
   points on the ball's sphere, with weights summing to 1, that reproduces
-  the center: numpy solves for it when the candidates are at most N+1
-  affinely independent points, and nonnegative least squares when they are
-  cospherical (more than N+1, or affinely dependent).  ``chebyshev_centers``
-  holds its batched balls to the same two bounds, with the barycentric
-  weights of each ball's support as the combination.
-- ``SUPPORT_BAND``: the points within this distance (times
-  ``max(1, radius)``) of a Chebyshev ball's sphere are the candidates for its
-  support certificate.  When nonnegative least squares cannot meet
-  ``HULL_TOL`` on them, the band is widened by ``SUPPORT_BAND_GROWTH``, at
-  most twice.  The band covers the rounding of the computed center and
-  distances, which moves a point of the sphere off it; widening recovers a
-  support point that rounding moved further.  ``chebyshev_centers`` gives a
-  support point outside the band no weight.
-- ``SUPPORT_WEIGHT_MIN``: a candidate whose certificate weight is at or
-  below this is left out of the support, so the support lists only the
-  points the combination really uses.
-- ``INSIDE_REL``, ``INSIDE_ABS``: the ball solver counts a point inside a
-  candidate ball when its squared distance to the center is at most
+  the center: the center's barycentric weights on the final support of
+  ``chebyshev_center``'s loop, for every input, cospherical ones included.  ``chebyshev_centers`` holds its batched balls
+  to the same two bounds, with the barycentric weights of each ball's
+  support as the combination.
+- ``AFFINE_TOL``: ``chebyshev_center``'s loop takes its center to lie in the
+  affine hull of its support when the support's circumcenter is within this
+  times the radius, and a point stops the walk toward that circumcenter only
+  when it nears the sphere faster than this times the radius per unit of
+  the walk; a slower one ends outside by at most this share of the walk's
+  length.
+- ``SUPPORT_BAND``: ``chebyshev_centers`` gives a support point no weight
+  when it lies further than this distance (times ``max(1, radius)``) inside
+  its ball's sphere.  The band covers the rounding of the computed center
+  and distances, which moves a point of the sphere off it.
+- ``SUPPORT_WEIGHT_MIN``: a point whose certificate weight is at or below
+  this is left out of the support, so the support lists only the points the
+  combination really uses.
+- ``INSIDE_REL``, ``INSIDE_ABS``: the batched ball solver counts a point
+  inside a candidate ball when its squared distance to the center is at most
   ``r2 * (1 + INSIDE_REL) + INSIDE_ABS`` (``r2`` the squared radius), so
   that the points that define a ball, which lie on its sphere up to the
-  rounding of the center, count as inside it.
+  rounding of the center, count as inside it.  ``chebyshev_center``'s loop
+  takes a point whose squared distance is at least ``r2 * (1 - INSIDE_REL)``
+  as on the sphere.
 - ``RESIDUAL_EPS``: the max-flow solver treats a residual capacity at or
   below this as saturated, so that it never augments along rounding residue.
   The flow it returns then falls short of the capacity of the cut it returns
@@ -90,10 +90,9 @@ FLOW_TOL = 1e-9
 CERT_TOL = 1e-9
 PATH_BOUND_SLACK = 1e-12
 NORM_BOUND_FLOOR = 1e-9
-TIME_SLACK = 1e-15
 HULL_TOL = 1e-9
+AFFINE_TOL = 1e-12
 SUPPORT_BAND = 1e-7
-SUPPORT_BAND_GROWTH = 100.0
 SUPPORT_WEIGHT_MIN = 1e-12
 INSIDE_REL = 3e-13
 INSIDE_ABS = 1e-30

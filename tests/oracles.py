@@ -27,7 +27,7 @@ import numpy as np
 
 from qcompact.ball import chebyshev_center
 from qcompact.maxflow import transport_flow
-from qcompact.tolerances import RESIDUAL_EPS, TIME_SLACK
+from qcompact.tolerances import RESIDUAL_EPS
 from qcompact.prokhorov import ProkhorovResult, check_alpha_block
 
 
@@ -129,11 +129,11 @@ def modulus_per_path(x, delta: float) -> float:
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
     s_list = [t[a]]
     t_list = [t[b]]
-    mask = t + delta <= 1.0 + TIME_SLACK
+    mask = t + delta <= 1.0
     s_list.append(t[mask])
-    t_list.append(np.minimum(t[mask] + delta, 1.0))
-    mask = t - delta >= -TIME_SLACK
-    s_list.append(np.maximum(t[mask] - delta, 0.0))
+    t_list.append(t[mask] + delta)
+    mask = t - delta >= 0.0
+    s_list.append(t[mask] - delta)
     t_list.append(t[mask])
     s_all = np.concatenate(s_list)
     t_all = np.concatenate(t_list)
@@ -196,11 +196,11 @@ def modulus_per_knot(x, delta: float) -> float:
         if b_hi > a + 1:
             s_list.append(np.full(b_hi - a - 1, t[a]))
             t_list.append(t[a + 1 : b_hi])
-    mask = t + delta <= 1.0 + TIME_SLACK
+    mask = t + delta <= 1.0
     s_list.append(t[mask])
-    t_list.append(np.minimum(t[mask] + delta, 1.0))
-    mask = t - delta >= -TIME_SLACK
-    s_list.append(np.maximum(t[mask] - delta, 0.0))
+    t_list.append(t[mask] + delta)
+    mask = t - delta >= 0.0
+    s_list.append(t[mask] - delta)
     t_list.append(t[mask])
     s_all = np.concatenate(s_list)
     t_all = np.concatenate(t_list)

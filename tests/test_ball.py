@@ -37,6 +37,11 @@ def point_cloud(max_dim=3, max_points=7):
     )
 
 
+def _unit_vectors(n, dim):
+    v = np.random.default_rng([n, dim]).standard_normal((n, dim))
+    return v / np.sqrt((v * v).sum(axis=1))[:, None]
+
+
 def assert_certificate(pts, out):
     """Every point inside and the support on the sphere, each up to a bound
     that scales with ``max(1, radius)``, and the center in the support hull
@@ -139,16 +144,50 @@ class TestChebyshevCenter:
 
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e9, 1e12])
     def test_shrunk_ball_is_rejected(self, scale, monkeypatch):
-        solve = ball_module._pivot_ball
+        # the radius is read off the center against the support, so the
+        # smaller ball through the support without its heaviest point stands
+        # in for a shrunk one: that point lies outside it
+        loop = ball_module._ball_loop
 
-        def shrunk(work, dim):
-            center, r2 = solve(work, dim)
-            return center, r2 * (1.0 - 1e-6) ** 2
+        def shrunk(pts):
+            _, support, weights = loop(pts)
+            del support[int(np.argmax(weights))]
+            center, weights = ball_module._circumcenter(pts[support])
+            return center, support, weights
 
-        monkeypatch.setattr(ball_module, "_pivot_ball", shrunk)
+        monkeypatch.setattr(ball_module, "_ball_loop", shrunk)
         pts = np.random.default_rng(1).standard_normal((50, 3)) * scale
         with pytest.raises(InternalConsistencyError, match="misses a point"):
             chebyshev_center(pts)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e9, 1e12])
+    def test_perturbed_weights_are_rejected(self, scale, monkeypatch):
+        loop = ball_module._ball_loop
+
+        def perturbed(pts):
+            center, support, weights = loop(pts)
+            return center, support, weights * (1.0 + 1e-6)
+
+        monkeypatch.setattr(ball_module, "_ball_loop", perturbed)
+        pts = np.random.default_rng(1).standard_normal((50, 3)) * scale
+        with pytest.raises(InternalConsistencyError, match="support hull"):
+            chebyshev_center(pts)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8, 1e12])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unit_spread_far_from_the_origin(self, dim, offset):
+        """The loop runs relative to one input point and reads the radius in
+        the caller's coordinates, so unit-spread clouds certify at any
+        offset.  The seeds include clouds that ran the pivoting solver out of
+        pivots: 43 and 91 at 1e4 in N = 2, 132 at 1e4 in N = 3, 8 at 1e6 in
+        N = 2, 4 at 1e6 and 1e8 in N = 3, 11 at 1e8 in N = 2.  At 1e12 one
+        ulp is 1.2e-4, so only the two gates are asserted."""
+        for seed in [*range(16), 43, 91, 132]:
+            pts = np.random.default_rng(seed).standard_normal((10, dim)) + offset
+            out = chebyshev_center(pts)
+            dists = np.sqrt(((pts - out.center) ** 2).sum(axis=1))
+            assert dists.max() <= out.radius + HULL_TOL * max(1.0, out.radius), seed
+            assert out.hull_residual <= hull_bound(pts, out.radius), seed
 
     def test_far_single_points_certify(self):
         """The hull residual's rounding grows with the coordinates, not the
@@ -182,15 +221,21 @@ class TestPivoting:
     def test_pivot_cap_raises(self, monkeypatch):
         pts = np.random.default_rng(5).standard_normal((300, 4))
         assert_certificate(pts, chebyshev_center(pts))
-        monkeypatch.setattr(ball_module, "MAX_PIVOTS", 1)
-        with pytest.raises(InternalConsistencyError, match="pivots"):
+        monkeypatch.setattr(ball_module, "MAX_STEPS", 1)
+        with pytest.raises(InternalConsistencyError, match="steps"):
             chebyshev_center(pts)
 
     def test_small_sets_need_no_pivot(self, monkeypatch):
-        # up to N+2 points are solved by one recursion over all of them
-        monkeypatch.setattr(ball_module, "MAX_PIVOTS", 1)
-        pts = np.random.default_rng(6).standard_normal((5, 3))
-        assert_certificate(pts, chebyshev_center(pts))
+        # a point settles in one step; for a pair, the first step walks from
+        # one point to the midpoint, where it joins the support, and the
+        # second finds both weights positive
+        monkeypatch.setattr(ball_module, "MAX_STEPS", 1)
+        assert_certificate([[0.3, -1.0, 2.0]], chebyshev_center([[0.3, -1.0, 2.0]]))
+        pair = np.random.default_rng(6).standard_normal((2, 3))
+        with pytest.raises(InternalConsistencyError, match="steps"):
+            chebyshev_center(pair)
+        monkeypatch.setattr(ball_module, "MAX_STEPS", 2)
+        assert_certificate(pair, chebyshev_center(pair))
 
     def test_cli_import_leaves_scipy_unloaded(self):
         code = (
@@ -206,9 +251,9 @@ class TestPivoting:
         "case", ["cheby", "cover-profile", "verify-qaa", "verify-qaa-max-dim", "cube"]
     )
     def test_generic_balls_leave_scipy_unloaded(self, case, tmp_path):
-        # only a cospherical candidate set (the cube's 8 vertices) needs nnls;
-        # verify-qaa's window balls come from the batched solver, in 3-D and
-        # at its largest dimension
+        # the loop's own weights certify cospherical sets too (the cube's 8
+        # vertices); verify-qaa's window balls come from the batched solver,
+        # in 3-D and at its largest dimension
         rng = np.random.default_rng(8)
         if case.startswith("verify-qaa"):
             dim = ball_module.BATCH_MAX_DIM if case.endswith("max-dim") else 3
@@ -234,7 +279,7 @@ class TestPivoting:
             f"status = main({argv!r})\n"
             "print(status, 'scipy' in sys.modules)\n"
         )
-        assert _run_python(code).split() == ["0", str(case == "cube")]
+        assert _run_python(code).split() == ["0", "False"]
 
 
 def _run_python(code: str) -> str:
@@ -278,24 +323,18 @@ class TestSupportCertificate:
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
             [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)],
             np.vstack([np.eye(16), -np.eye(16)]),
+            *(_unit_vectors(n, 16) for n in (200, 1000, 5000)),
         ],
-        ids=["square", "cube", "cross-polytope-16"],
+        ids=["square", "cube", "cross-polytope-16", "sphere-16-200", "sphere-16-1000",
+             "sphere-16-5000"],
     )
-    def test_cospherical_input_goes_to_nnls(self, pts, monkeypatch):
-        calls = _count_nnls_calls(monkeypatch)
-        out = chebyshev_center(pts)
-        assert calls == [1]
+    def test_cospherical_input_certifies_without_scipy(self, pts, monkeypatch):
+        # a None entry in sys.modules makes any import of scipy fail
+        with monkeypatch.context() as m:
+            for name in [n for n in sys.modules if n.split(".")[0] == "scipy"] + ["scipy"]:
+                m.setitem(sys.modules, name, None)
+            out = chebyshev_center(pts)
         assert_certificate(pts, out)
-
-    def test_clipped_residual_over_the_bound_goes_to_nnls(self, monkeypatch):
-        # (1 - 1e-6, 0) lies outside the first band: the two candidates left
-        # cannot reach the center, and the widened band adds the point back
-        pts = np.array([[-1.0, 0.0], [1.0 - 1e-6, 0.0], [0.0, 1.0]])
-        calls = _count_nnls_calls(monkeypatch)
-        support, resid = ball_module._support_certificate(pts, np.zeros(2), 1.0)
-        assert calls == [1]
-        assert support == (0, 1)
-        assert resid <= HULL_TOL
 
 
 def _count_scalar_calls(monkeypatch) -> list:
@@ -402,11 +441,12 @@ class TestChebyshevCenters:
             assert radius == want.radius and np.array_equal(center, want.center)
 
     def test_pivot_cap_hands_sets_to_the_scalar_solver(self, monkeypatch):
-        # the scalar solver, under the same cap, then gives up as it would alone
+        # the scalar solver, capped too, then gives up as it would alone
         sets = np.random.default_rng(5).standard_normal((20, 12, 2))
         calls = _count_scalar_calls(monkeypatch)
         monkeypatch.setattr(ball_module, "MAX_PIVOTS", 1)
-        with pytest.raises(InternalConsistencyError, match="pivots"):
+        monkeypatch.setattr(ball_module, "MAX_STEPS", 1)
+        with pytest.raises(InternalConsistencyError, match="steps"):
             chebyshev_centers(sets)
         assert calls
 
@@ -444,18 +484,6 @@ class TestChebyshevCenters:
     def test_rejects_bad_input(self, sets, message):
         with pytest.raises(ValueError, match=message):
             chebyshev_centers(sets)
-
-
-def _count_nnls_calls(monkeypatch) -> list:
-    calls = []
-    nnls_certificate = ball_module._nnls_certificate
-
-    def counted(*args):
-        calls.append(1)
-        return nnls_certificate(*args)
-
-    monkeypatch.setattr(ball_module, "_nnls_certificate", counted)
-    return calls
 
 
 class TestJung:

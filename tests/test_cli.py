@@ -136,6 +136,17 @@ class TestHappyPaths:
         assert rc == 0
         assert env["results"]["jung"]["ok"] is True
 
+    @pytest.mark.parametrize("command", ["cheby", "jung-check"])
+    @pytest.mark.parametrize(
+        "seed, shape, offset", [(2, (3, 3), 1e6), (43, (10, 2), 1e4)], ids=["1e6", "1e4"]
+    )
+    def test_ball_far_from_the_origin(self, command, seed, shape, offset, tmp_path):
+        # unit-spread clouds that once ran the ball solver out of pivots
+        pts = np.random.default_rng(seed).standard_normal(shape) + offset
+        points = write_json(tmp_path / "pts.json", {"coords": pts.tolist()})
+        # jung-check exits 0 only when the sandwich holds
+        assert run_json([command, points], tmp_path / "o.json")[0] == 0
+
     def test_aa_net(self, files, tmp_path):
         rc, env = run_json(
             [

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every name
-a module exports resolves, and no module but ``tolerances.py`` writes a
-tolerance-sized float literal.
+a module exports resolves, no module imports scipy, and no module but
+``tolerances.py`` writes a tolerance-sized float literal.
 
 No linter ships with the package, so this parses each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are the
@@ -32,6 +32,21 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy or of a scipy submodule, at any depth: numpy is the
+    package's only runtime dependency."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
 def tolerance_literals(source: str) -> list[str]:
     """Float constants ``x`` with ``0 < |x| < 1e-6``: rounding budgets, which
     belong in ``tolerances.py`` under a name that says what they bound."""
@@ -56,6 +71,21 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom typing import Optional, Sequence\nx: Sequence = math.pi\n"
     assert unused_imports(source) == ["line 2: Optional"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_detects_a_scipy_import():
+    source = (
+        "import numpy, scipy.sparse as sp\n"
+        "from .scipy import x\n"
+        "def f():\n"
+        "    from scipy.optimize import nnls\n"
+    )
+    assert scipy_imports(source) == ["line 1: scipy.sparse", "line 4: scipy.optimize"]
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from qcompact import ball as ball_module
 from qcompact import paths as paths_module
 from qcompact.cli import main
 from qcompact.paths import _pair_distances, _window_balls, _window_grid, _window_values
-from qcompact.tolerances import TIME_SLACK
 
 from oracles import (
     dense_modulus,
@@ -224,12 +223,12 @@ def mixed_grid_family(draw, n_dim=None):
 def critical_delta(draw, family):
     """A window width where the candidate times change: a gap between two
     knots of a path, one ulp either side of it, or a width that takes a knot
-    to within TIME_SLACK of 0 or 1."""
+    to within a few ulps of 0 or 1."""
     t = draw(st.sampled_from(family)).knots
     a = draw(st.integers(0, t.size - 2))
     b = draw(st.integers(a + 1, t.size - 1))
     delta = draw(st.sampled_from([t[b] - t[a], 1.0 - t[a], t[b], 0.05, 0.3]))
-    nudge = draw(st.sampled_from([0.0, math.inf, -math.inf, TIME_SLACK / 2, -TIME_SLACK / 2]))
+    nudge = draw(st.sampled_from([0.0, math.inf, -math.inf, 5e-16, -5e-16]))
     delta = float(np.nextafter(delta, nudge) if math.isinf(nudge) else delta + nudge)
     assume(delta > 0.0)
     return delta
