@@ -9,8 +9,8 @@ always has room forward, and its flow back).  The solver keeps only the pairs
 that some augmenting path used, in flat lists, each found from its Q-atom
 (``slot[j][i]``): every read of a flow is from the Q side, a back edge or a
 bottleneck along one.  Its state thus grows with the pairs that carry flow,
-never with |P| x |Q|, and the one dense array it makes is the flow matrix it
-returns, filled by one assignment.
+never with |P| x |Q|, and so does what it returns: those pairs and their
+flows, not a |P| x |Q| matrix.
 
 The solver is Dinic's algorithm (Dinic, *Soviet Math. Dokl.* 11, 1970).  A
 phase first labels the atoms by their distance from the source, in layers P,
@@ -226,15 +226,17 @@ def transport_flow(p_mass, q_mass, allowed):
     """Maximum mass shippable from P-atoms to Q-atoms along allowed pairs.
 
     ``allowed[i, j]`` is True where the pair (i, j) may carry flow.  Returns
-    ``(flow, value, reach_p)``: the (|P|, |Q|) flow matrix, the total flow,
-    and the mask of P-atoms on the source side of a minimum cut (reachable
-    in the final residual graph).  Besides that matrix, it holds per-atom
-    vectors, the pairs that carry flow, and in each phase the allowed pairs
-    of the live P-atoms its walk reaches.
+    ``((i, j, f), value, reach_p)``: the pairs that carry flow, as arrays of
+    P-atoms ``i``, Q-atoms ``j`` and positive flows ``f`` with no pair twice
+    (``flow[i, j] = f`` on a zero (|P|, |Q|) matrix gives the flow matrix),
+    the total flow, and the mask of P-atoms on the source side of a minimum
+    cut (reachable in the final residual graph).  It holds per-atom vectors,
+    the pairs that some augmenting path used, and in each phase the allowed
+    pairs of the live P-atoms its walk reaches.
     """
     rp = np.asarray(p_mass, dtype=float).tolist()
     rq = np.asarray(q_mass, dtype=float).tolist()
-    p, q = len(rp), len(rq)
+    q = len(rq)
     allowed = np.asarray(allowed, dtype=bool)
     # the pairs that carry flow: pair ``s`` is (pair_i[s], pair_j[s]) with
     # flow flow[s], and slot[j][i] == s
@@ -264,6 +266,8 @@ def transport_flow(p_mass, q_mass, allowed):
             alive_q[cols] = True
         total = _blocking(rp, rq, allowed, flows, lev_p, alive_q.tolist(), q_live, total)
 
-    dense = np.zeros((p, q))
-    dense[pair_i, pair_j] = flow
-    return dense, total, level_p >= 0
+    f = np.array(flow, dtype=float)
+    carrying = f > 0.0
+    pairs = (np.array(pair_i, dtype=np.intp)[carrying],
+             np.array(pair_j, dtype=np.intp)[carrying], f[carrying])
+    return pairs, total, level_p >= 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -119,8 +120,19 @@ def _coordinate_triangle_bound(n_dim: int, given: bool) -> float:
     return float(6 * g + 3 * e + (3 * COORD_MATCH_RTOL if given else 0.0))
 
 
+def _cannot_overflow(coords: np.ndarray) -> bool:
+    """Whether the per-axis extents of ``coords`` prove that no computed
+    distance overflows: each rounded difference is at most its axis's
+    rounded extent, so every rounded sum of squares is at most about
+    ``fl(sum of extent^2)``, and below 1e300 that is far from the largest
+    double."""
+    with np.errstate(over="ignore"):
+        extent = coords.max(axis=0) - coords.min(axis=0)
+        return bool(np.sum(extent * extent) < 1e300)
+
+
 class FiniteMetricSpace:
-    """A finite point set with an explicit symmetric distance matrix.
+    """A finite point set with a symmetric distance matrix ``dist``.
 
     The matrix is validated on construction: zero diagonal, exact symmetry,
     nonnegativity, and (unless ``validate_triangle=False``) the triangle
@@ -138,15 +150,21 @@ class FiniteMetricSpace:
     relative tolerance, and coordinates whose distances overflow are
     rejected.  Instances are immutable; the arrays are write-protected.
 
-    The space holds one n x n matrix.  A matrix it computes from coordinates
-    is kept as built, with no copy, so construction peaks at that matrix plus
-    block-sized scratch (about 1.2 matrices at N = 3; 79 MiB above the
-    process's baseline for n = 3000 in the plane, where the matrix is
-    69 MiB).  A caller's ``dist`` is copied once, so that the caller cannot
-    change the space's matrix afterwards.
+    The space holds at most one n x n matrix.  A space given coordinates
+    alone computes it on the first read of ``dist`` (``n_points``, ``coords``
+    and ``to_dict`` do not read it), when the per-axis extents of the
+    coordinates prove that no distance can overflow, so that every check the
+    constructor would make on the matrix passes; otherwise, and when the
+    triangle scan must run, the matrix is built at construction, as for a
+    given ``dist``.  Either way it is the same matrix, kept as built, with
+    no copy, so the build peaks at that matrix plus block-sized scratch
+    (about 1.2 matrices at N = 3; 79 MiB above the process's baseline for
+    n = 3000 in the plane, where the matrix is 69 MiB).  A caller's ``dist``
+    is copied once, so that the caller cannot change the space's matrix
+    afterwards.
     """
 
-    __slots__ = ("dist", "coords")
+    __slots__ = ("_dist", "coords")
 
     def __init__(self, dist=None, *, coords=None, validate_triangle=True):
         if dist is None and coords is None:
@@ -160,6 +178,12 @@ class FiniteMetricSpace:
             if not np.isfinite(coords).all():
                 raise ValueError("coords must be finite")
             scan = _coordinate_triangle_bound(coords.shape[1], dist is not None) >= TRIANGLE_SLACK
+            if dist is None and not (validate_triangle and scan) and _cannot_overflow(coords):
+                coords = coords.copy()
+                coords.setflags(write=False)
+                object.__setattr__(self, "_dist", None)
+                object.__setattr__(self, "coords", coords)
+                return
             with np.errstate(over="ignore"):
                 computed = _euclidean_matrix(coords)
             largest = float(computed.max())
@@ -193,7 +217,7 @@ class FiniteMetricSpace:
         if validate_triangle and scan:
             _check_triangle(dist, TRIANGLE_SLACK * max(1.0, float(dist.max())))
         dist.setflags(write=False)
-        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "_dist", dist)
         if coords is not None:
             if coords.shape[0] != n:
                 raise ValueError("coords must have one row per point")
@@ -205,8 +229,18 @@ class FiniteMetricSpace:
         raise AttributeError("FiniteMetricSpace is immutable")
 
     @property
+    def dist(self) -> np.ndarray:
+        """The n x n distance matrix, read-only; computed on the first read
+        for a space given coordinates alone."""
+        if self._dist is None:
+            dist = _euclidean_matrix(self.coords)
+            dist.setflags(write=False)
+            object.__setattr__(self, "_dist", dist)
+        return self._dist
+
+    @property
     def n_points(self) -> int:
-        return self.dist.shape[0]
+        return len(self.coords) if self.coords is not None else len(self._dist)
 
     def diameter(self) -> float:
         return float(self.dist.max())
@@ -284,12 +318,49 @@ class IndexSet:
         return i in self.members
 
 
+#: the bit pattern of inf, the largest of the nonnegative doubles
+_INF_BITS = 0x7FF0000000000000
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def quotient_bound(lam: float, alpha: float) -> float:
+    """The largest nonnegative double ``X`` with ``fl(X / lam) <= alpha``
+    (inf when every double qualifies), for ``lam > 0`` and ``alpha >= 0``.
+
+    ``fl(x / lam)`` is monotone in ``x``, and so is the value of a
+    nonnegative double in its bit pattern, so ``X`` is found by bisection
+    over the bit patterns from 0 (whose quotient 0 always qualifies) to inf,
+    in at most 63 divisions.  Stepping with ``nextafter`` instead would take
+    about ``lam / 2`` steps where the quotient underflows, as at
+    ``lam = 1e300``."""
+    lam, alpha = float(lam), float(alpha)
+    lo, hi = 0, _INF_BITS + 1  # lo qualifies, hi is one past inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _from_bits(mid) / lam <= alpha:
+            lo = mid
+        else:
+            hi = mid
+    return _from_bits(lo)
+
+
+def close_threshold(lam: float, alpha: float) -> float:
+    """The distance ``T`` with ``close_pairs(d, lam, alpha) == (d <= T)``:
+    ``max(fl(lam * alpha), quotient_bound(lam, alpha))``."""
+    return max(float(lam) * float(alpha), quotient_bound(lam, alpha))
+
+
 def close_pairs(d, lam: float, alpha: float):
-    """Which distances ``d`` are within ``lam * alpha``: ``d <= lam * alpha``
-    or ``d / lam <= alpha``, so that answers of the Prokhorov breakpoint sweep
-    (in units of d/lam) recheck on the feasible side of their own boundary.
-    At ``lam = 1`` it is exactly ``d <= alpha``."""
-    return (d <= lam * alpha) | (d / lam <= alpha)
+    """Which nonnegative distances ``d`` are within ``lam * alpha``:
+    ``d <= lam * alpha`` or ``d / lam <= alpha``, so that answers of the
+    Prokhorov breakpoint sweep (in units of d/lam) recheck on the feasible
+    side of their own boundary.  Both tests are monotone in ``d``, so their
+    union is the one test ``d <= close_threshold(lam, alpha)``, which makes
+    no array of quotients.  At ``lam = 1`` it is exactly ``d <= alpha``."""
+    return d <= close_threshold(lam, alpha)
 
 
 def closed_neighborhood(rows: np.ndarray, lam: float, alpha: float) -> np.ndarray:

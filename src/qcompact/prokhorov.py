@@ -33,7 +33,13 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .maxflow import transport_flow
-from .metric import FiniteMetricSpace, IndexSet, close_pairs, closed_neighborhood
+from .metric import (
+    FiniteMetricSpace,
+    IndexSet,
+    close_pairs,
+    closed_neighborhood,
+    quotient_bound,
+)
 from .tolerances import FLOW_TOL, MASS_ROUND_TOL, MASS_SUM_TOL, ORACLE_BISECT_TOL
 
 __all__ = [
@@ -190,8 +196,8 @@ class CouplingCertificate:
             raise InternalConsistencyError("flow plus slack does not add to 1")
         if self.slack_mass > self.alpha + FLOW_TOL:
             raise InternalConsistencyError("slack mass exceeds alpha")
-        beyond = ~close_pairs(_support_block(dist, sp, sq), self.lam, self.alpha)
-        if (self.flow[beyond] > FLOW_TOL).any():
+        i, j = np.nonzero(self.flow > FLOW_TOL)
+        if not close_pairs(dist[sp[i], sq[j]], self.lam, self.alpha).all():
             raise InternalConsistencyError("positive flow on a pair beyond lam*alpha")
 
 
@@ -260,10 +266,22 @@ def check_alpha_block(p_mass, q_mass, dist, lam: float, alpha: float):
         raise ValueError("lam must be > 0")
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
+    return _check_alpha(p_mass, q_mass, dist, lam, alpha, {})
+
+
+def _check_alpha(p_mass, q_mass, dist, lam: float, alpha: float, solved: dict):
+    """``check_alpha_block``, taking the max-flow from ``solved`` (solves
+    of ``transport_flow`` on the support block, keyed on the number of
+    allowed pairs) when it holds the network at ``alpha``.  The key names
+    the edge set, as in ``prokhorov_sweep``."""
     sp = np.flatnonzero(p_mass > 0.0)
     sq = np.flatnonzero(q_mass > 0.0)
     allowed = close_pairs(_support_block(dist, sp, sq), lam, alpha)
-    flow, value, reach_p = transport_flow(p_mass[sp], q_mass[sq], allowed)
+    solve = solved.get(int(np.count_nonzero(allowed)))
+    if solve is None:
+        solve = transport_flow(p_mass[sp], q_mass[sq], allowed)
+    del allowed
+    (i, j, f), value, reach_p = solve
 
     # min-cut set: P-atoms still reachable from the source
     cut = sp[reach_p]
@@ -273,14 +291,15 @@ def check_alpha_block(p_mass, q_mass, dist, lam: float, alpha: float):
     if p_cut - q_infl - alpha > FLOW_TOL:
         subset = IndexSet(tuple(cut.tolist()))
         return ViolationCertificate(lam, alpha, subset, p_mass=p_cut, q_inflated_mass=q_infl)
-    slack = max(0.0, 1.0 - value)
+    flow = np.zeros((sp.size, sq.size))
+    flow[i, j] = f
     cert = CouplingCertificate(
         lam=lam,
         alpha=alpha,
         p_support=tuple(sp.tolist()),
         q_support=tuple(sq.tolist()),
         flow=flow,
-        slack_mass=slack,
+        slack_mass=max(0.0, 1.0 - value),
     )
     cert.validate_block(p_mass, q_mass, dist)
     return cert
@@ -331,13 +350,22 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     middle of the bracket's values, kept inside ``[lo, hi - 1]`` so that the
     bracket always shrinks.  The answer is ``b_{k*}`` unless the previous
     interval already contains its own feasible point ``g_{k*-1}``.  It is
-    rechecked by ``check_alpha_block``, whose coupling is the certificate.
+    rechecked as by ``check_alpha_block``, whose coupling is the certificate.
 
-    The sweeps share one memo of deficiencies, keyed on the number of allowed
-    pairs.  That key names the edge set exactly: ``fl(d / lam)`` is monotone
-    in ``d``, so ``{d / lam <= b}`` is ``{d <= D}`` for some ``D``, a prefix of
-    the pairs in distance order, whichever lam produced it.  A network met by
-    several sweeps is thus solved once, and the memo holds floats only.
+    The distinct distances ``u`` are sorted once for the whole sweep.
+    ``fl(d / lam)`` is monotone in ``d``, so the breakpoints of a lam are
+    the distinct values of ``u / lam`` in the same order (0 first when it is
+    not one of them, with no allowed pair), and the edge set at ``b_k`` is
+    ``{d <= quotient_bound(lam, b_k)}``, a prefix of the pairs in distance
+    order, whichever lam produced it.  The sweeps therefore share one memo
+    of flows keyed on the number of allowed pairs, which names the edge set
+    exactly: a network met by several sweeps is solved once.  The memo holds
+    each flow in the sparse form ``transport_flow`` returns, arrays about
+    p + q long where each certificate is a p x q matrix, and the rechecks
+    run after every search: one whose edge set has the key of a memo entry,
+    as the network at ``k*`` or ``k* - 1`` does, reuses that flow instead of
+    solving it again.  Besides the distance block, a search holds ``u``,
+    the breakpoints and one boolean mask at a time.
     """
     lambda_grid = [float(lam) for lam in lambda_grid]
     if any(lam <= 0.0 for lam in lambda_grid):
@@ -348,23 +376,24 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     sq = np.flatnonzero(q_mass > 0.0)
     block = _support_block(dist, sp, sq)
     p_vec, q_vec = p_mass[sp], q_mass[sq]
-    deficiency: dict[int, float] = {}
+    u = np.unique(block)
+    solves: dict[int, tuple] = {}  # the memo: each search flow, by key
 
-    results = []
+    searched = []
     for lam in lambda_grid:
-        d_over_lam = block / lam
-        bps = np.unique(d_over_lam)
+        bps = u / lam
+        if (bps[1:] == bps[:-1]).any():
+            bps = np.unique(bps)
         if bps[0] != 0.0:
             bps = np.concatenate([[0.0], bps])
-        known = len(deficiency)
+        known = len(solves)
 
         def g(k: int) -> float:
-            allowed = d_over_lam <= bps[k]
+            allowed = block <= quotient_bound(lam, bps[k])
             key = int(np.count_nonzero(allowed))
-            if key not in deficiency:
-                _, value, _ = transport_flow(p_vec, q_vec, allowed)
-                deficiency[key] = max(0.0, 1.0 - value)
-            return deficiency[key]
+            if key not in solves:
+                solves[key] = transport_flow(p_vec, q_vec, allowed)
+            return max(0.0, 1.0 - solves[key][1])
 
         # invariant: lo <= k* <= hi (the full edge set couples everything)
         lo, hi, mid = 0, len(bps) - 1, 0
@@ -382,10 +411,13 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
         alpha_star = bps[k_star]
         if k_star > 0 and g(k_star - 1) < bps[k_star]:
             alpha_star = g(k_star - 1)
-        alpha_star = float(alpha_star)
-        flows_solved = len(deficiency) - known
+        searched.append((lam, float(alpha_star), len(bps), len(solves) - known))
+        del bps
+    del u
 
-        cert = check_alpha_block(p_mass, q_mass, dist, lam, alpha_star)
+    results = []
+    for lam, alpha_star, n_breakpoints, flows_solved in searched:
+        cert = _check_alpha(p_mass, q_mass, dist, lam, alpha_star, solves)
         if not cert.feasible:
             raise InternalConsistencyError(
                 f"sweep returned alpha={alpha_star!r} but the feasibility recheck disagrees"
@@ -395,7 +427,7 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
                 lam=lam,
                 alpha_star=alpha_star,
                 certificate=cert,
-                breakpoints_scanned=len(bps),
+                breakpoints_scanned=n_breakpoints,
                 flows_solved=flows_solved,
             )
         )

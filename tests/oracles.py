@@ -5,8 +5,10 @@ solvers: subset enumeration instead of flows, dense time grids
 instead of knot analysis, exhaustive boundary-subset search instead of the
 minimal-ball recursion, nonnegative least squares alone instead of the ball
 certificate's numpy solve.  The others keep an earlier, simpler form of a
-package routine as the reference for a faster one: ``prokhorov_sweep_bisect``
-(the index bisection, on the package's own flows and recheck),
+package routine as the reference for a faster one: ``close_pairs_two_sided``
+(the closed-neighbourhood test as a product and a quotient),
+``prokhorov_sweep_bisect`` (the index bisection over the quotients
+``d / lam``, on the package's own flows and recheck),
 ``dumps_recursive`` (the report writer that formats one node at a time),
 ``modulus_per_knot`` (the knot pairs listed one knot at a time),
 ``window_balls_per_window`` (one ``chebyshev_center`` call per window),
@@ -41,6 +43,14 @@ def tv_subsets(p_mass, q_mass) -> float:
         idx = [i for i in range(n) if bits >> i & 1]
         best = max(best, abs(p[idx].sum() - q[idx].sum()))
     return best
+
+
+def close_pairs_two_sided(d, lam: float, alpha: float) -> np.ndarray:
+    """Which distances ``d`` are within ``lam * alpha``, by two tests:
+    ``d <= fl(lam * alpha)`` or ``fl(d / lam) <= alpha``."""
+    d = np.asarray(d, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        return (d <= lam * alpha) | (d / lam <= alpha)
 
 
 def feasible_by_subsets(p_mass, q_mass, dist, lam: float, alpha: float) -> bool:

@@ -15,6 +15,14 @@ from qcompact.maxflow import transport_flow
 from qcompact.tolerances import FLOW_TOL
 
 
+def dense_flow(p_mass, q_mass, allowed):
+    """``transport_flow`` with its pairs laid out as the flow matrix."""
+    (i, j, f), value, reach_p = transport_flow(p_mass, q_mass, allowed)
+    flow = np.zeros(np.shape(allowed))
+    flow[i, j] = f
+    return flow, value, reach_p
+
+
 @st.composite
 def networks(draw, mass):
     """(p_mass, q_mass, allowed) with masses drawn by ``mass``."""
@@ -52,7 +60,7 @@ def test_value_matches_exact_integer_flow(case):
 def test_float_flow_is_feasible_and_meets_its_cut(net):
     p_mass, q_mass, allowed = net
     p_mass, q_mass = np.array(p_mass, dtype=float), np.array(q_mass, dtype=float)
-    flow, value, reach_p = transport_flow(p_mass, q_mass, allowed)
+    flow, value, reach_p = dense_flow(p_mass, q_mass, allowed)
     assert flow.shape == allowed.shape
     assert (flow >= 0.0).all()
     assert (flow[~allowed] == 0.0).all()
@@ -65,8 +73,8 @@ def test_float_flow_is_feasible_and_meets_its_cut(net):
 
 def test_flow_state_grows_with_the_pairs_used():
     """On a 400 x 400 banded network the solver keeps only the pairs that
-    carry flow: beyond the dense matrix it returns, it allocates less than
-    half of what one |P| x |Q| table of references would take."""
+    carry flow, and returns no |P| x |Q| matrix: it allocates less than half
+    of what one |P| x |Q| table of references would take."""
     n = 400
     rng = np.random.default_rng(0)
     p_mass, q_mass = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
@@ -74,12 +82,12 @@ def test_flow_state_grows_with_the_pairs_used():
     allowed = np.abs(i[:, None] - i[None, :]) <= 3
     tracemalloc.start()
     try:
-        flow, value, _ = transport_flow(p_mass, q_mass, allowed)
+        _, value, _ = transport_flow(p_mass, q_mass, allowed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert value > 0.5
-    assert peak - flow.nbytes < n * n * 8 / 2
+    assert peak < n * n * 8 / 2
 
 
 def _masses(rng, n, kind, zero_share):
@@ -95,7 +103,7 @@ def _masses(rng, n, kind, zero_share):
 
 
 def assert_same_as_unpruned(p_mass, q_mass, allowed):
-    flow, value, reach_p = transport_flow(p_mass, q_mass, allowed)
+    flow, value, reach_p = dense_flow(p_mass, q_mass, allowed)
     flow_0, value_0, reach_0 = transport_flow_unpruned(p_mass, q_mass, allowed)
     assert np.array_equal(flow, flow_0)
     assert value == value_0
@@ -132,8 +140,8 @@ def test_banded_networks_match_unpruned_walk(width, shift):
 
 def test_dense_network_holds_no_list_of_its_pairs():
     """On a 400 x 400 network with half its pairs allowed, as early in a
-    breakpoint sweep, the solver allocates under 1 MiB beyond the matrix it
-    returns: it lists the allowed pairs only of the atoms its walk reaches,
+    breakpoint sweep, the solver allocates under 1 MiB, with no matrix to
+    return: it lists the allowed pairs only of the atoms its walk reaches,
     where listing all 80k as Python ints takes about 1.7 MiB."""
     n = 400
     rng = np.random.default_rng(1)
@@ -144,10 +152,10 @@ def test_dense_network_holds_no_list_of_its_pairs():
     del x, y, dist
     tracemalloc.start()
     try:
-        flow, value, _ = transport_flow(p_mass, q_mass, allowed)
+        _, value, _ = transport_flow(p_mass, q_mass, allowed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert 79_000 <= np.count_nonzero(allowed) <= 81_000
     assert value > 0.99
-    assert peak - flow.nbytes < 2**20
+    assert peak < 2**20

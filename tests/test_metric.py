@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import euclidean_all_pairs, triangle_holds_per_k
+from oracles import close_pairs_two_sided, euclidean_all_pairs, triangle_holds_per_k
 from qcompact import FiniteMetricSpace, IndexSet, inflate, open_ball
 from qcompact import metric
 from qcompact.metric import (
@@ -15,6 +15,9 @@ from qcompact.metric import (
     TRIANGLE_BLOCK,
     _coordinate_triangle_bound,
     _euclidean_matrix,
+    close_pairs,
+    close_threshold,
+    quotient_bound,
 )
 from qcompact.tolerances import COORD_MATCH_RTOL, TRIANGLE_SLACK
 
@@ -318,18 +321,128 @@ class TestEuclideanMatrix:
 
     def test_coordinate_space_holds_its_matrix_once(self):
         """The space keeps the matrix it computed, symmetrized in place, so
-        building it holds one n^2 matrix plus block-sized scratch (at N = 3,
-        0.13 of a matrix for the difference block and as much for one
-        boolean check at a time)."""
+        building it, here on the first read of ``dist``, holds one n^2
+        matrix plus block-sized scratch (at N = 3, 0.13 of a matrix for the
+        difference block)."""
         n = 1500
         coords = np.random.default_rng(0).random((n, 3))
         tracemalloc.start()
         try:
-            FiniteMetricSpace(coords=coords)
+            FiniteMetricSpace(coords=coords).dist
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * n * n * 8
+
+
+class TestLazyMatrix:
+    """A space given coordinates alone computes ``dist`` on its first read."""
+
+    def test_only_dist_builds_the_matrix(self, monkeypatch):
+        coords = np.random.default_rng(0).random((5, 2))
+        expected = _euclidean_matrix(coords)
+
+        def refuse(coords):
+            raise AssertionError("matrix built")
+
+        monkeypatch.setattr(metric, "_euclidean_matrix", refuse)
+        sp = FiniteMetricSpace(coords=coords)
+        assert sp.n_points == 5 and repr(sp) == "FiniteMetricSpace(n_points=5)"
+        assert sp.to_dict() == {"coords": coords.tolist()}
+        assert sp.same_as(sp)
+        with pytest.raises(AssertionError, match="matrix built"):
+            sp.dist
+        monkeypatch.undo()
+        assert sp.dist.tobytes() == expected.tobytes()
+        assert sp.dist is sp.dist and not sp.dist.flags.writeable
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [[1e200, 0.0], [-1e200, 0.0]],
+            [[1.5e308], [-1.5e308]],
+            [[1e154, 0.0], [-1e154, 0.0]],
+            [[0.0] * 16, [5e153] * 16],
+        ],
+    )
+    def test_overflowing_coordinates_raise_at_construction(self, coords):
+        """Coordinates whose extents cannot rule out an overflow are built at
+        once, so an overflowing distance is reported by the constructor."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^coordinates too large: a distance overflows$"):
+                FiniteMetricSpace(coords=coords)
+
+    @pytest.mark.parametrize(
+        "coords, lazy",
+        [
+            ([[0.0, 0.0], [3e149, 4e149]], True),
+            ([[0.0, 0.0], [6e149, 8e149]], False),
+            ([[-1e150], [1e150]], False),
+        ],
+    )
+    def test_large_coordinates_that_do_not_overflow(self, coords, lazy, monkeypatch):
+        """Near the extent bound (sum of squared extents 1e300) the matrix is
+        deferred below it and built at once above it; both are the same."""
+        built = []
+        build = metric._euclidean_matrix
+        monkeypatch.setattr(metric, "_euclidean_matrix", lambda c: built.append(1) or build(c))
+        sp = FiniteMetricSpace(coords=coords)
+        assert built == ([] if lazy else [1])
+        assert sp.dist.tobytes() == euclidean_all_pairs(coords).tobytes()
+        assert np.isfinite(sp.dist).all()
+
+
+#: the lam of the threshold test: thirds and sevenths round, 1e+-300 make
+#: products overflow and quotients underflow
+THRESHOLD_LAMS = [1 / 7, 1 / 3, 1e-3, 1.0, 1e3, 1e-300, 1e300]
+
+
+def _neighbours(x: float, k: int = 3) -> list[float]:
+    """``x`` and its ``k`` nearest doubles on each side, kept nonnegative."""
+    out, up, down = [x], x, x
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return [float(v) for v in out if v >= 0.0 and np.isfinite(v)]
+
+
+class TestCloseThreshold:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.sampled_from(THRESHOLD_LAMS)
+        | st.floats(min_value=5e-324, max_value=1e308, allow_subnormal=True),
+        alpha=st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 / 3, 1.0])
+        | st.floats(min_value=0.0, max_value=1e10, allow_subnormal=True),
+        extra=st.lists(st.floats(min_value=0.0, max_value=1e308, allow_subnormal=True),
+                       max_size=8),
+    )
+    def test_matches_the_two_sided_formula(self, lam, alpha, extra):
+        """``d <= T`` gives the old two-sided verdict on the doubles around
+        fl(lam * alpha), around T itself, on subnormals and on any others;
+        T is the largest double the old test accepts."""
+        t = close_threshold(lam, alpha)
+        with np.errstate(over="ignore", under="ignore"):
+            product = lam * alpha
+        d = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, *extra]
+        d += _neighbours(product) + _neighbours(t) + _neighbours(alpha)
+        d = np.array(d)
+        assert np.array_equal(close_pairs(d, lam, alpha), close_pairs_two_sided(d, lam, alpha))
+        if np.isfinite(t):
+            assert close_pairs_two_sided([t], lam, alpha)[0]
+            assert not close_pairs_two_sided([np.nextafter(t, np.inf)], lam, alpha)[0]
+
+    @pytest.mark.parametrize("lam", THRESHOLD_LAMS)
+    def test_quotient_bound_at_zero_alpha(self, lam):
+        """At alpha = 0 the bound is the largest d whose quotient underflows
+        to 0: about lam * 2^-1075, found without stepping through it."""
+        x = quotient_bound(lam, 0.0)
+        assert x / lam == 0.0
+        assert np.nextafter(x, np.inf) / lam > 0.0
+
+    def test_every_double_qualifies_only_at_infinite_alpha(self):
+        assert quotient_bound(1e300, 1e10) == np.finfo(float).max
+        assert quotient_bound(1.0, np.inf) == np.inf
 
 
 class TestIndexSet:

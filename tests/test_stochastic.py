@@ -22,7 +22,7 @@ from qcompact import (
 from qcompact import prokhorov as prokhorov_module
 from qcompact import stochastic as stochastic_module
 from qcompact.serialize import to_jsonable
-from qcompact.stochastic import PATH_CHUNK
+from qcompact.stochastic import PATH_CHUNK, PATH_TILE
 
 from oracles import path_metric_per_row, prokhorov_sweep_bisect
 
@@ -324,6 +324,36 @@ class TestPathDistances:
         rows = random_paths(rng, n_rows, n_dim)
         cols = random_paths(rng, n_cols, n_dim)[::-1]
         block = path_metric_per_row(rows + cols)[:n_rows, n_rows:]
+        assert path_distances(rows, cols).tobytes() == block.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 2 * PATH_TILE[0] + 1),
+        m=st.integers(1, 2 * PATH_TILE[1] + 1),
+        n_times=st.integers(1, 5),
+        scale=st.sampled_from([1.0, 1e-150, 1e-160, 1e-161, 1e-162, 1e-165, 1e-200, 1e-310]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_dimension_matches_the_general_kernel(self, n, m, n_times, scale, seed):
+        """The 1-D tiles give the bits of the N-D chunks, also where the
+        squares of differences near 1e-160 are subnormal or underflow to 0,
+        and where paths coincide."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n, n_times)) * scale
+        cols = rng.standard_normal((m, n_times)) * scale
+        cols[: m // 2] = rows[0]  # pairs at distance 0
+        tiled = stochastic_module._squared_distances_1d(rows, cols)
+        general = stochastic_module._squared_distances(rows[:, :, None], cols[:, :, None])
+        assert tiled.tobytes() == general.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-160, 1e-162])
+    def test_tiny_one_dimensional_paths_match_the_oracle(self, scale):
+        rng = np.random.default_rng(7)
+        rows = random_paths(rng, PATH_TILE[0] + 1, 1)
+        cols = random_paths(rng, PATH_TILE[1] + 1, 1)
+        rows = [PLPath(x.knots, x.values * scale) for x in rows]
+        cols = [PLPath(x.knots, x.values * scale) for x in cols]
+        block = path_metric_per_row(rows + cols)[:len(rows), len(rows):]
         assert path_distances(rows, cols).tobytes() == block.tobytes()
 
 
