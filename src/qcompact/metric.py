@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -349,8 +350,12 @@ def quotient_bound(lam: float, alpha: float) -> float:
 
 def close_threshold(lam: float, alpha: float) -> float:
     """The distance ``T`` with ``close_pairs(d, lam, alpha) == (d <= T)``:
-    ``max(fl(lam * alpha), quotient_bound(lam, alpha))``."""
-    return max(float(lam) * float(alpha), quotient_bound(lam, alpha))
+    ``max(fl(lam * alpha), quotient_bound(lam, alpha))``.  At ``lam = inf``
+    and ``alpha = 0`` the product is NaN, which no distance is ``<=``, so
+    the quotient bound alone decides."""
+    product = float(lam) * float(alpha)
+    bound = quotient_bound(lam, alpha)
+    return bound if math.isnan(product) else max(product, bound)
 
 
 def close_pairs(d, lam: float, alpha: float):

@@ -358,14 +358,16 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     not one of them, with no allowed pair), and the edge set at ``b_k`` is
     ``{d <= quotient_bound(lam, b_k)}``, a prefix of the pairs in distance
     order, whichever lam produced it.  The sweeps therefore share one memo
-    of flows keyed on the number of allowed pairs, which names the edge set
-    exactly: a network met by several sweeps is solved once.  The memo holds
-    each flow in the sparse form ``transport_flow`` returns, arrays about
-    p + q long where each certificate is a p x q matrix, and the rechecks
-    run after every search: one whose edge set has the key of a memo entry,
-    as the network at ``k*`` or ``k* - 1`` does, reuses that flow instead of
-    solving it again.  Besides the distance block, a search holds ``u``,
-    the breakpoints and one boolean mask at a time.
+    of deficiencies keyed on the number of allowed pairs, which names the
+    edge set exactly: a network met by several sweeps is solved once.
+    Besides the distance block, a search holds ``u``, the breakpoints, one
+    boolean mask at a time and the flows it solved, in the sparse form
+    ``transport_flow`` returns (arrays about p + q long, where a certificate
+    is a p x q matrix).  After it, only its flows at ``k*`` and ``k* - 1``
+    are kept.  The rechecks run once every search is done and ``u`` is
+    dropped; one whose edge set has the key of a kept flow, as the network
+    at ``alpha*`` does when the search solved it, reuses that flow instead
+    of solving it again.
     """
     lambda_grid = [float(lam) for lam in lambda_grid]
     if any(lam <= 0.0 for lam in lambda_grid):
@@ -377,7 +379,8 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     block = _support_block(dist, sp, sq)
     p_vec, q_vec = p_mass[sp], q_mass[sq]
     u = np.unique(block)
-    solves: dict[int, tuple] = {}  # the memo: each search flow, by key
+    deficiency: dict[int, float] = {}
+    kept: dict[int, tuple] = {}  # flows at k* and k* - 1, for the rechecks
 
     searched = []
     for lam in lambda_grid:
@@ -386,14 +389,17 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
             bps = np.unique(bps)
         if bps[0] != 0.0:
             bps = np.concatenate([[0.0], bps])
-        known = len(solves)
+        known = len(deficiency)
+        keys: dict[int, int] = {}  # breakpoint index -> key
+        solved: dict[int, tuple] = {}  # this search's flows, by key
 
         def g(k: int) -> float:
             allowed = block <= quotient_bound(lam, bps[k])
-            key = int(np.count_nonzero(allowed))
-            if key not in solves:
-                solves[key] = transport_flow(p_vec, q_vec, allowed)
-            return max(0.0, 1.0 - solves[key][1])
+            key = keys[k] = int(np.count_nonzero(allowed))
+            if key not in deficiency:
+                solved[key] = transport_flow(p_vec, q_vec, allowed)
+                deficiency[key] = max(0.0, 1.0 - solved[key][1])
+            return deficiency[key]
 
         # invariant: lo <= k* <= hi (the full edge set couples everything)
         lo, hi, mid = 0, len(bps) - 1, 0
@@ -411,13 +417,16 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
         alpha_star = bps[k_star]
         if k_star > 0 and g(k_star - 1) < bps[k_star]:
             alpha_star = g(k_star - 1)
-        searched.append((lam, float(alpha_star), len(bps), len(solves) - known))
-        del bps
+        for k in (k_star, k_star - 1):
+            if keys.get(k) in solved:
+                kept[keys[k]] = solved[keys[k]]
+        searched.append((lam, float(alpha_star), len(bps), len(deficiency) - known))
+        del bps, solved
     del u
 
     results = []
     for lam, alpha_star, n_breakpoints, flows_solved in searched:
-        cert = _check_alpha(p_mass, q_mass, dist, lam, alpha_star, solves)
+        cert = _check_alpha(p_mass, q_mass, dist, lam, alpha_star, kept)
         if not cert.feasible:
             raise InternalConsistencyError(
                 f"sweep returned alpha={alpha_star!r} but the feasibility recheck disagrees"

@@ -223,15 +223,13 @@ def _dedupe(paths: Sequence[PLPath]) -> tuple[list[PLPath], list[int]]:
     return unique, where
 
 
-#: columns per chunk of ``path_distances``; its two working arrays hold
-#: PATH_CHUNK x T x N and PATH_CHUNK x T floats for T knot times
-PATH_CHUNK = 128
-
-#: rows and columns per tile of ``path_distances`` on 1-D paths, whose
-#: working array holds PATH_TILE[0] x PATH_TILE[1] x T floats (0.7 MiB at
-#: T = 365).  At T = 365 on one core of a 2-vCPU Xeon, a 400 x 400 block
-#: took 74 ms with this tile, 115 ms with 16 x 64 and 167 ms in the N-D
-#: chunks; the 1600 x 1600 block of 2 x 800 walks took 1.55 s (2.39 s)
+#: rows and columns per tile of ``path_distances``, whose working arrays
+#: hold PATH_TILE[0] x PATH_TILE[1] x T x N floats and, for N >= 2, a
+#: PATH_TILE[0] x PATH_TILE[1] x T sum for T knot times (0.7 MiB at T = 365
+#: and N = 1).  At T = 365 on one core of a 2-vCPU Xeon, a 400 x 400 block
+#: of 1-D paths took 74 ms with this tile, 115 ms with 16 x 64 and 167 ms
+#: row by row in chunks of 128 columns; the 1600 x 1600 block of 2 x 800
+#: walks took 1.55 s (2.39 s)
 PATH_TILE = (8, 32)
 
 
@@ -239,61 +237,43 @@ def path_distances(rows: Sequence[PLPath], cols: Sequence[PLPath]) -> np.ndarray
     """Uniform-norm distances ``d[i, j]`` from path ``rows[i]`` to ``cols[j]``.
 
     Every pair is evaluated exactly on the union of the knots of all the
-    paths, which dominates each pair's merged knot set.  The square root is
-    taken after the max over times: the correctly rounded ``sqrt`` is
-    monotone, so ``sqrt(max(s)) == max(sqrt(s))`` bit for bit.  Paths in
-    N >= 2 dimensions fill row ``i`` in chunks of ``PATH_CHUNK`` columns;
-    1-D paths, whose sum of squares over one axis is the square itself, fill
-    tiles of ``PATH_TILE`` rows x columns.  Both square, take the max and
-    then the root, so they give the same bits (``|a - b|`` would not, once
-    a square underflows).
+    paths, which dominates each pair's merged knot set.  The block is filled
+    in tiles of ``PATH_TILE`` rows x columns through buffers allocated once:
+    square the differences, sum over the N axes (for 1-D paths the square
+    itself), take the max over times, then the root.  The correctly rounded
+    ``sqrt`` is monotone, so ``sqrt(max(s)) == max(sqrt(s))`` bit for bit;
+    ``|a - b|`` in place of the root of a 1-D square would not be, once the
+    square underflows.
     """
     if not rows or not cols:
         raise ValueError("need at least one path")
     times = np.unique(np.concatenate([x.knots for x in [*rows, *cols]]))
-    row_vals = values_at(rows, times)  # (n, T, N)
-    col_vals = values_at(cols, times)  # (m, T, N)
-    if row_vals.shape[2] == 1:
-        dist = _squared_distances_1d(row_vals[:, :, 0], col_vals[:, :, 0])
-    else:
-        dist = _squared_distances(row_vals, col_vals)
+    dist = _squared_distances(values_at(rows, times), values_at(cols, times))
     return np.sqrt(dist, out=dist)
 
 
 def _squared_distances(row_vals: np.ndarray, col_vals: np.ndarray) -> np.ndarray:
     """The max over times of the squared distances between the rows of
-    ``row_vals`` (n, T, N) and of ``col_vals`` (m, T, N), row by row in
-    chunks of ``PATH_CHUNK`` columns through two buffers allocated once."""
-    m = len(col_vals)
-    chunk = min(PATH_CHUNK, m)
-    diff = np.empty((chunk, *col_vals.shape[1:]))
-    sq = np.empty((chunk, col_vals.shape[1]))
-    dist = np.empty((len(row_vals), m))
-    for i, v in enumerate(row_vals):
-        for s in range(0, m, chunk):
-            e = min(s + chunk, m)
-            d = diff[: e - s]
-            np.subtract(col_vals[s:e], v, out=d)
-            np.multiply(d, d, out=d)
-            np.max(np.sum(d, axis=2, out=sq[: e - s]), axis=1, out=dist[i, s:e])
-    return dist
-
-
-def _squared_distances_1d(row_vals: np.ndarray, col_vals: np.ndarray) -> np.ndarray:
-    """``_squared_distances`` for 1-D paths, ``row_vals`` (n, T) and
-    ``col_vals`` (m, T), in tiles of ``PATH_TILE`` through one buffer."""
+    ``row_vals`` (n, T, N) and of ``col_vals`` (m, T, N), in tiles of
+    ``PATH_TILE``."""
     n, m = len(row_vals), len(col_vals)
     tr, tc = min(PATH_TILE[0], n), min(PATH_TILE[1], m)
-    buf = np.empty((tr, tc, row_vals.shape[1]))
+    one_axis = col_vals.shape[2] == 1  # whose sum is the square itself
+    if one_axis:
+        row_vals, col_vals = row_vals[..., 0], col_vals[..., 0]
+    buf = np.empty((tr, tc, *col_vals.shape[1:]))
+    sums = buf if one_axis else np.empty(buf.shape[:3])
     dist = np.empty((n, m))
     for a in range(0, n, tr):
         b = min(a + tr, n)
         for s in range(0, m, tc):
             e = min(s + tc, m)
-            d = buf[: b - a, : e - s]
+            d, sq = buf[: b - a, : e - s], sums[: b - a, : e - s]
             np.subtract(col_vals[None, s:e], row_vals[a:b, None], out=d)
             np.multiply(d, d, out=d)
-            np.max(d, axis=2, out=dist[a:b, s:e])
+            if not one_axis:
+                np.sum(d, axis=3, out=sq)
+            np.max(sq, axis=2, out=dist[a:b, s:e])
     return dist
 
 

@@ -410,7 +410,7 @@ def _neighbours(x: float, k: int = 3) -> list[float]:
 class TestCloseThreshold:
     @settings(max_examples=300, deadline=None)
     @given(
-        lam=st.sampled_from(THRESHOLD_LAMS)
+        lam=st.sampled_from([*THRESHOLD_LAMS, np.inf])
         | st.floats(min_value=5e-324, max_value=1e308, allow_subnormal=True),
         alpha=st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 / 3, 1.0])
         | st.floats(min_value=0.0, max_value=1e10, allow_subnormal=True),
@@ -439,6 +439,14 @@ class TestCloseThreshold:
         x = quotient_bound(lam, 0.0)
         assert x / lam == 0.0
         assert np.nextafter(x, np.inf) / lam > 0.0
+
+    def test_infinite_lam_at_zero_alpha(self):
+        """fl(inf * 0) is NaN: the quotient test alone admits every finite
+        distance, as the two-sided formula does."""
+        assert close_threshold(np.inf, 0.0) == np.finfo(float).max
+        d = np.array([0.0, 5e-324, 1.0, np.finfo(float).max, np.inf])
+        assert close_pairs(d, np.inf, 0.0).tolist() == [True, True, True, True, False]
+        assert np.array_equal(close_pairs(d, np.inf, 0.0), close_pairs_two_sided(d, np.inf, 0.0))
 
     def test_every_double_qualifies_only_at_infinite_alpha(self):
         assert quotient_bound(1e300, 1e10) == np.finfo(float).max

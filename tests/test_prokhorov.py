@@ -579,6 +579,17 @@ class TestSweepSearch:
         assert got.alpha_star == ref.alpha_star == 0.16666666666666674
         assert got.certificate.flow.tobytes() == ref.certificate.flow.tobytes()
 
+    def test_infinite_lam_couples_at_zero(self):
+        """At lam = inf every finite distance is within lam * 0 (its quotient
+        is 0), so alpha* is 0 and the recheck finds a full coupling."""
+        rng = np.random.default_rng(5)
+        p, q = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(5))
+        dist = rng.random((6, 5)) * 1e300
+        (res,) = prokhorov_sweep(p, q, dist, [np.inf])
+        assert res.alpha_star == 0.0
+        assert res.certificate.feasible
+        assert abs(res.certificate.slack_mass) <= 1e-12
+
     def test_flows_solved_counts_new_networks_only(self, monkeypatch):
         """``flows_solved`` is the memo's growth for each lam, and a repeated
         lam solves nothing.  Each recheck reuses the search's solve of the

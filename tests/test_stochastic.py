@@ -22,7 +22,7 @@ from qcompact import (
 from qcompact import prokhorov as prokhorov_module
 from qcompact import stochastic as stochastic_module
 from qcompact.serialize import to_jsonable
-from qcompact.stochastic import PATH_CHUNK, PATH_TILE
+from qcompact.stochastic import PATH_TILE
 
 from oracles import path_metric_per_row, prokhorov_sweep_bisect
 
@@ -297,9 +297,14 @@ def random_paths(rng, n, n_dim):
     return paths
 
 
+#: a multiple of both sides of a tile, so that sizes around it end tiles
+#: full, one short and one over
+EDGE = 4 * PATH_TILE[1]
+
+
 class TestPathMetricSpace:
     @pytest.mark.parametrize("n_dim", [1, 3, 16])
-    @pytest.mark.parametrize("n", [1, 2, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, 2, EDGE - 1, EDGE, EDGE + 1])
     def test_bit_identical_to_per_row_oracle(self, n, n_dim):
         paths = random_paths(np.random.default_rng(1000 * n + n_dim), n, n_dim)
         dist = path_metric_space(paths).dist
@@ -314,7 +319,7 @@ class TestPathMetricSpace:
 
 
 class TestPathDistances:
-    SIZES = [1, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1]
+    SIZES = [1, EDGE - 1, EDGE, EDGE + 1]
 
     @pytest.mark.parametrize("n_dim", [1, 3])
     @pytest.mark.parametrize("n_cols", SIZES)
@@ -335,16 +340,18 @@ class TestPathDistances:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_dimension_matches_the_general_kernel(self, n, m, n_times, scale, seed):
-        """The 1-D tiles give the bits of the N-D chunks, also where the
-        squares of differences near 1e-160 are subnormal or underflow to 0,
-        and where paths coincide."""
+        """1-D paths, which take the square for the sum, give the bits of the
+        same paths in the plane with a zero second axis, which sum, also
+        where the squares of differences near 1e-160 are subnormal or
+        underflow to 0, and where paths coincide."""
         rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((n, n_times)) * scale
-        cols = rng.standard_normal((m, n_times)) * scale
+        rows = rng.standard_normal((n, n_times, 1)) * scale
+        cols = rng.standard_normal((m, n_times, 1)) * scale
         cols[: m // 2] = rows[0]  # pairs at distance 0
-        tiled = stochastic_module._squared_distances_1d(rows, cols)
-        general = stochastic_module._squared_distances(rows[:, :, None], cols[:, :, None])
-        assert tiled.tobytes() == general.tobytes()
+        flat = stochastic_module._squared_distances(rows, cols)
+        pad = [(0, 0), (0, 0), (0, 1)]
+        summed = stochastic_module._squared_distances(np.pad(rows, pad), np.pad(cols, pad))
+        assert flat.tobytes() == summed.tobytes()
 
     @pytest.mark.parametrize("scale", [1e-158, 1e-160, 1e-162])
     def test_tiny_one_dimensional_paths_match_the_oracle(self, scale):
