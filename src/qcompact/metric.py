@@ -368,10 +368,18 @@ def close_pairs(d, lam: float, alpha: float):
     return d <= close_threshold(lam, alpha)
 
 
-def closed_neighborhood(rows: np.ndarray, lam: float, alpha: float) -> np.ndarray:
+def closed_neighborhood(
+    dist: np.ndarray, rows: np.ndarray, lam: float, alpha: float
+) -> np.ndarray:
     """Sorted columns within ``lam * alpha`` (under ``close_pairs``) of some
-    row of the distance block ``rows``; no rows give no columns."""
-    return np.nonzero(close_pairs(rows, lam, alpha).any(axis=0))[0]
+    row of the distance block ``dist`` listed in ``rows``; no rows give no
+    columns.  The rows are copied ``EUCLID_BLOCK`` at a time, and each
+    block's mask is ORed into one column mask."""
+    threshold = close_threshold(lam, alpha)
+    near = np.zeros(dist.shape[1], dtype=bool)
+    for s in range(0, rows.size, EUCLID_BLOCK):
+        near |= (dist[rows[s : s + EUCLID_BLOCK]] <= threshold).any(axis=0)
+    return np.flatnonzero(near)
 
 
 def inflate(space: FiniteMetricSpace, subset: IndexSet, eps: float) -> IndexSet:
@@ -384,8 +392,8 @@ def inflate(space: FiniteMetricSpace, subset: IndexSet, eps: float) -> IndexSet:
     if eps < 0.0:
         raise ValueError("inflation radius must be >= 0")
     subset.validate_for(space)
-    rows = space.dist[subset.to_array()]
-    return IndexSet(tuple(closed_neighborhood(rows, 1.0, eps).tolist()))
+    near = closed_neighborhood(space.dist, subset.to_array(), 1.0, eps)
+    return IndexSet(tuple(near.tolist()))
 
 
 def open_ball(space: FiniteMetricSpace, center: int, eps: float) -> IndexSet:

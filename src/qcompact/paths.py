@@ -45,13 +45,21 @@ class PLPath:
     """A continuous piecewise-linear path [0, 1] -> R^N.
 
     Knots are strictly increasing with knots[0] == 0 and knots[-1] == 1;
-    values has one row per knot.  Immutable.
+    values has one row per knot.  Immutable.  A float64 knots array that is
+    read-only and owns its data is kept, not copied, so paths on one grid
+    can share it; any other knots, a writeable array or a view, are copied.
     """
 
     __slots__ = ("knots", "values")
 
     def __init__(self, knots, values):
-        knots = np.array(knots, dtype=float)
+        if not (
+            type(knots) is np.ndarray
+            and knots.dtype == np.float64
+            and knots.flags.owndata
+            and not knots.flags.writeable
+        ):
+            knots = np.array(knots, dtype=float)
         values = np.array(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
@@ -313,7 +321,9 @@ def _window_grid(delta: float) -> tuple[np.ndarray, list[tuple[float, float]]]:
     m = max(m, 3)
     if m % 2 == 0:
         m += 1
-    t = np.linspace(0.0, 1.0, m + 1)
+    # owned and read-only, so that the net's members share it
+    t = np.linspace(0.0, 1.0, m + 1).copy()
+    t.setflags(write=False)
     n_win = (m - 1) // 2
     windows = []
     for k in range(n_win + 1):

@@ -244,7 +244,7 @@ def _support_block(dist, sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 def _cut_masses(p_mass, q_mass, dist, rows: np.ndarray, lam: float, alpha: float):
     """P(A) and Q(A^(lam*alpha)) for the set A of P-atoms ``rows``."""
-    near = closed_neighborhood(dist[rows], lam, alpha)
+    near = closed_neighborhood(dist, rows, lam, alpha)
     return float(p_mass[rows].sum()), float(q_mass[near].sum())
 
 

@@ -18,12 +18,18 @@ those pieces into its temporary file, so writing a report holds the report's
 own arrays and one row's text at a time, not the whole matrix as Python
 floats or the whole text; ``dumps_deterministic`` joins them into one
 string.
+
+``sha256_file`` hashes an input with CPython's own SHA-256 module
+(``_sha2``, or ``_sha256`` before Python 3.12), and with ``hashlib`` only
+where neither exists: importing ``hashlib`` maps OpenSSL's libcrypto,
+3.6 MiB, into the process.  The built-in hash takes about 5.5 ms per MB
+where OpenSSL takes 0.9 ms, so it is the faster of the two, import
+included, for inputs under about a MB.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -270,7 +276,15 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 
 def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
+    """The hex SHA-256 of the file at ``path``, read 64 KiB at a time."""
+    try:  # CPython's own SHA-256, loaded on first use: hashlib maps OpenSSL's libcrypto
+        from _sha2 import sha256
+    except ImportError:  # Python 3.10 and 3.11
+        try:
+            from _sha256 import sha256
+        except ImportError:  # a build without the built-in hashes
+            from hashlib import sha256
+    digest = sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)

@@ -237,43 +237,59 @@ def path_distances(rows: Sequence[PLPath], cols: Sequence[PLPath]) -> np.ndarray
     """Uniform-norm distances ``d[i, j]`` from path ``rows[i]`` to ``cols[j]``.
 
     Every pair is evaluated exactly on the union of the knots of all the
-    paths, which dominates each pair's merged knot set.  The block is filled
-    in tiles of ``PATH_TILE`` rows x columns through buffers allocated once:
-    square the differences, sum over the N axes (for 1-D paths the square
-    itself), take the max over times, then the root.  The correctly rounded
-    ``sqrt`` is monotone, so ``sqrt(max(s)) == max(sqrt(s))`` bit for bit;
-    ``|a - b|`` in place of the root of a 1-D square would not be, once the
-    square underflows.
+    paths, which dominates each pair's merged knot set.  The columns' values
+    are evaluated once; the rows' values one block of ``PATH_TILE[0]`` rows
+    at a time, so besides the output only the column values and one row
+    block are live.  The block is filled in tiles of ``PATH_TILE`` rows x
+    columns through buffers allocated once: square the differences, sum
+    over the N axes (for 1-D paths the square itself), take the max over
+    times, then the root.  The correctly rounded ``sqrt`` is monotone, so
+    ``sqrt(max(s)) == max(sqrt(s))`` bit for bit; ``|a - b|`` in place of
+    the root of a 1-D square would not be, once the square underflows.
     """
     if not rows or not cols:
         raise ValueError("need at least one path")
-    times = np.unique(np.concatenate([x.knots for x in [*rows, *cols]]))
-    dist = _squared_distances(values_at(rows, times), values_at(cols, times))
+    times = _union_knots([*rows, *cols])
+    dist = _squared_distances(
+        lambda a, b: values_at(rows[a:b], times), len(rows), values_at(cols, times)
+    )
     return np.sqrt(dist, out=dist)
 
 
-def _squared_distances(row_vals: np.ndarray, col_vals: np.ndarray) -> np.ndarray:
-    """The max over times of the squared distances between the rows of
-    ``row_vals`` (n, T, N) and of ``col_vals`` (m, T, N), in tiles of
-    ``PATH_TILE``."""
-    n, m = len(row_vals), len(col_vals)
+def _union_knots(paths: Sequence[PLPath]) -> np.ndarray:
+    """The sorted union of the paths' knots, reading each knot array once:
+    the members of a net share one."""
+    grids = {id(x.knots): x.knots for x in paths}
+    return np.unique(np.concatenate(list(grids.values())))
+
+
+def _squared_distances(row_vals, n: int, col_vals: np.ndarray) -> np.ndarray:
+    """The max over times of the squared distances between n rows, whose
+    values ``row_vals(a, b)`` gives for rows a to b - 1 as an (b - a, T, N)
+    array, and the rows of ``col_vals`` (m, T, N), in tiles of
+    ``PATH_TILE``; the rows' values are asked for one tile row at a time."""
+    m = len(col_vals)
     tr, tc = min(PATH_TILE[0], n), min(PATH_TILE[1], m)
     one_axis = col_vals.shape[2] == 1  # whose sum is the square itself
     if one_axis:
-        row_vals, col_vals = row_vals[..., 0], col_vals[..., 0]
+        col_vals = col_vals[..., 0]
     buf = np.empty((tr, tc, *col_vals.shape[1:]))
     sums = buf if one_axis else np.empty(buf.shape[:3])
     dist = np.empty((n, m))
     for a in range(0, n, tr):
         b = min(a + tr, n)
+        block = row_vals(a, b)
+        if one_axis:
+            block = block[..., 0]
         for s in range(0, m, tc):
             e = min(s + tc, m)
             d, sq = buf[: b - a, : e - s], sums[: b - a, : e - s]
-            np.subtract(col_vals[None, s:e], row_vals[a:b, None], out=d)
+            np.subtract(col_vals[None, s:e], block[:, None], out=d)
             np.multiply(d, d, out=d)
             if not one_axis:
                 np.sum(d, axis=3, out=sq)
             np.max(sq, axis=2, out=dist[a:b, s:e])
+        del block  # before the next block is made
     return dist
 
 

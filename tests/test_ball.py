@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcompact
@@ -248,14 +249,23 @@ class TestPivoting:
         assert _run_python(code).split() == ["3", "True"]
 
     @pytest.mark.parametrize(
-        "case", ["cheby", "cover-profile", "verify-qaa", "verify-qaa-max-dim", "cube"]
+        "case",
+        ["cheby", "cover-profile", "verify-qaa", "verify-qaa-max-dim", "cube", "prokhorov-dist"],
     )
     def test_generic_balls_leave_scipy_unloaded(self, case, tmp_path):
         # the loop's own weights certify cospherical sets too (the cube's 8
         # vertices); verify-qaa's window balls come from the batched solver,
-        # in 3-D and at its largest dimension
+        # in 3-D and at its largest dimension.  No job loads OpenSSL's
+        # hashes (_hashlib) to hash its inputs, a measure job neither.
         rng = np.random.default_rng(8)
-        if case.startswith("verify-qaa"):
+        if case == "prokhorov-dist":
+            space = {"coords": rng.random((30, 2)).tolist()}
+            (tmp_path / "space.json").write_text(json.dumps(space))
+            data, q = [{"space": "space.json", "mass": m.tolist()}
+                       for m in rng.dirichlet(np.ones(30), size=2)]
+            (tmp_path / "q.json").write_text(json.dumps(q))
+            args = [str(tmp_path / "q.json"), "--lambda-grid", "0.5,1"]
+        elif case.startswith("verify-qaa"):
             dim = ball_module.BATCH_MAX_DIM if case.endswith("max-dim") else 3
             values = np.cumsum(rng.standard_normal((12, 17, dim)) / 4.0, axis=1)
             paths = [{"knots": np.linspace(0, 1, 17).tolist(), "values": v.tolist()} for v in values]
@@ -275,11 +285,26 @@ class TestPivoting:
         argv = [command, str(inp), *args, "--out", str(tmp_path / "report.json")]
         code = (
             "import sys\n"
+            "import numpy\n"
+            "eager_random = 'numpy.random' in sys.modules\n"
             "from qcompact.cli import main\n"
             f"status = main({argv!r})\n"
-            "print(status, 'scipy' in sys.modules)\n"
+            "print(status, 'scipy' in sys.modules, '_hashlib' in sys.modules, eager_random)\n"
         )
-        assert _run_python(code).split() == ["0", "False"]
+        status, scipy_loaded, hashlib_loaded, eager_random = _run_python(code).split()
+        assert (status, scipy_loaded) == ("0", "False")
+        if not BUILTIN_SHA256:
+            pytest.skip("no built-in SHA-256 module: inputs are hashed through hashlib")
+        if eager_random == "True":
+            # numpy 1.x imports numpy.random with numpy, and with it OpenSSL
+            # through secrets and hmac
+            pytest.skip("numpy imports numpy.random, and so _hashlib, on import")
+        assert hashlib_loaded == "False"
+
+
+#: whether CPython's own SHA-256 module exists, which ``sha256_file`` takes
+#: over hashlib's
+BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
 def _run_python(code: str) -> str:
@@ -301,6 +326,9 @@ class TestSupportCertificate:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100)
+    # four coplanar candidates on the sphere in 3-D: the center is the
+    # midpoint of rows 13 and 21 and a positive combination of 1, 21 and 25
+    @example(dim=3, lattice=1.0, n=34, seed=36639)
     def test_matches_nnls_oracle(self, dim, lattice, n, seed):
         cloud = np.random.default_rng(seed).standard_normal((n, dim))
         # coarse lattices put several points on one sphere, which nnls certifies
@@ -310,7 +338,8 @@ class TestSupportCertificate:
         pts = np.unique(cloud, axis=0)
         out = chebyshev_center(pts)
         want, want_resid, cand = support_certificate_nnls(pts, out.center, out.radius)
-        if cand.size <= dim + 1:
+        # affinely independent candidates weigh the center one way only
+        if np.linalg.matrix_rank(pts[cand[1:]] - pts[cand[0]]) == cand.size - 1:
             assert out.support == want
         bound = hull_bound(pts, out.radius)
         assert out.hull_residual <= bound

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, every name
-a module exports resolves, no module imports scipy, and no module but
+a module exports resolves, no module imports scipy, no module imports
+hashlib but as a fallback for a missing module, and no module but
 ``tolerances.py`` writes a tolerance-sized float literal.
 
 No linter ships with the package, so this parses each module with ``ast``.
@@ -32,19 +33,34 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Imports of scipy or of a scipy submodule, at any depth: numpy is the
-    package's only runtime dependency."""
+def imports_of(source: str, module: str, *, skip_fallbacks: bool = False) -> list[str]:
+    """Imports of ``module`` or of a submodule, at any depth.  With
+    ``skip_fallbacks``, not those in the handler of an ImportError, where a
+    module stands in for one that this Python lacks."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def visit(node):
+        if skip_fallbacks and isinstance(node, ast.ExceptHandler) and _catches_import_error(node):
+            return
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module]
         else:
-            continue
-        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+            names = []
+        found.extend(f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == module)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
     return found
+
+
+def _catches_import_error(handler: ast.ExceptHandler) -> bool:
+    return isinstance(handler.type, ast.Name) and handler.type.id in (
+        "ImportError",
+        "ModuleNotFoundError",
+    )
 
 
 def tolerance_literals(source: str) -> list[str]:
@@ -75,7 +91,15 @@ def test_detects_an_unused_import():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_imports(path):
-    assert scipy_imports(path.read_text()) == []
+    # numpy is the package's only runtime dependency
+    assert imports_of(path.read_text(), "scipy") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_hashlib_imports(path):
+    # hashlib maps OpenSSL's libcrypto, 3.6 MiB, into every job that hashes
+    # its inputs; CPython's own SHA-256 module does the job
+    assert imports_of(path.read_text(), "hashlib", skip_fallbacks=True) == []
 
 
 def test_detects_a_scipy_import():
@@ -84,8 +108,31 @@ def test_detects_a_scipy_import():
         "from .scipy import x\n"
         "def f():\n"
         "    from scipy.optimize import nnls\n"
+        "try:\n"
+        "    from numpy.x import y\n"
+        "except ImportError:\n"
+        "    from scipy import y\n"
     )
-    assert scipy_imports(source) == ["line 1: scipy.sparse", "line 4: scipy.optimize"]
+    assert imports_of(source, "scipy") == [
+        "line 1: scipy.sparse", "line 4: scipy.optimize", "line 8: scipy"
+    ]
+
+
+def test_detects_a_hashlib_import_but_not_a_fallback():
+    source = (
+        "import hashlib\n"
+        "def f():\n"
+        "    from hashlib import sha256\n"
+        "try:\n"
+        "    import hashlib._x\n"
+        "except ImportError:\n"
+        "    from hashlib import sha256\n"
+        "except ValueError:\n"
+        "    import hashlib\n"
+    )
+    assert imports_of(source, "hashlib", skip_fallbacks=True) == [
+        "line 1: hashlib", "line 3: hashlib", "line 5: hashlib._x", "line 9: hashlib"
+    ]
 
 
 @pytest.mark.parametrize(

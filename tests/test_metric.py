@@ -17,6 +17,7 @@ from qcompact.metric import (
     _euclidean_matrix,
     close_pairs,
     close_threshold,
+    closed_neighborhood,
     quotient_bound,
 )
 from qcompact.tolerances import COORD_MATCH_RTOL, TRIANGLE_SLACK
@@ -479,6 +480,22 @@ class TestInflate:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             inflate(line_space(), IndexSet.of([0]), -0.1)
+
+
+class TestClosedNeighborhood:
+    @pytest.mark.parametrize(
+        "k", [0, 1, EUCLID_BLOCK - 1, EUCLID_BLOCK, EUCLID_BLOCK + 1, 2 * EUCLID_BLOCK + 1]
+    )
+    def test_row_blocks_match_the_whole_mask(self, k):
+        """Rows in any order, repeats included, across block edges: the
+        columns any of them reaches, as one mask over all the rows gives."""
+        rng = np.random.default_rng(k)
+        dist = rng.random((3 * EUCLID_BLOCK, 90))
+        rows = rng.integers(0, dist.shape[0], size=k)
+        for lam, alpha in [(1.0, 0.02), (2.5, 0.01), (0.5, 0.0)]:
+            want = np.flatnonzero(close_pairs(dist[rows], lam, alpha).any(axis=0))
+            got = closed_neighborhood(dist, rows, lam, alpha)
+            assert got.tolist() == want.tolist()
 
 
 class TestOpenBall:

@@ -87,6 +87,34 @@ class TestPLPath:
         with pytest.raises(ValueError, match="increasing"):
             PLPath([0.0, 0.5, 0.5, 1.0], [[0.0]] * 4)
 
+    def test_keeps_only_frozen_knots_it_owns(self):
+        """A read-only float64 array that owns its data is shared; a
+        writeable array, a read-only view (whose base can change) and a
+        list are copied, and every path's arrays stay read-only."""
+        frozen = np.linspace(0.0, 1.0, 5).copy()
+        frozen.setflags(write=False)
+        writeable = np.linspace(0.0, 1.0, 5).copy()
+        base = np.linspace(0.0, 1.0, 5).copy()
+        view = base[:]
+        view.setflags(write=False)
+        values = np.zeros((5, 1))
+        assert PLPath(frozen, values).knots is frozen
+        paths = [PLPath(k, values) for k in (writeable, view, frozen.tolist(), frozen[::1])]
+        for path in paths:
+            assert path.knots is not frozen and path.knots.base is None
+            assert not path.knots.flags.writeable and not path.values.flags.writeable
+        writeable[1] = base[1] = 0.125
+        assert paths[0].knots[1] == paths[1].knots[1] == 0.25
+
+    def test_immutable(self):
+        path = PLPath([0.0, 1.0], [[0.0], [1.0]])
+        with pytest.raises(AttributeError, match="immutable"):
+            path.knots = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            path.knots[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            path.values[0, 0] = 0.5
+
     def test_from_dict_strict(self):
         p = PLPath.from_dict({"knots": [0.0, 1.0], "values": [[1.0], [2.0]]})
         assert p.n_dim == 1
@@ -442,6 +470,14 @@ class TestAANet:
         for s, x in zip(net.per_sample, fam):
             d = uniform_distance(net.members[s.member_index], x)
             assert d == pytest.approx(s.achieved, abs=1e-12)
+
+    def test_members_share_one_knot_array(self):
+        family = [PLPath(np.linspace(0.0, 1.0, 9), np.sin(np.arange(9.0) * c)[:, None])
+                  for c in (0.3, 0.7, 1.1, -0.5)]
+        net = aa_net(family, 0.2, mu_uec_family(family, 0.2), 1.0, 0.05)
+        assert len(net.members) > 1
+        assert all(m.knots is net.grid_times for m in net.members)
+        assert not net.grid_times.flags.writeable
 
     def test_windows_narrower_than_delta(self):
         fam = [PLPath([0.0, 1.0], [[0.0], [1.0]])]

@@ -25,6 +25,7 @@ from qcompact import (
 )
 from qcompact import prokhorov as prokhorov_module
 from qcompact.errors import InternalConsistencyError
+from qcompact.metric import EUCLID_BLOCK
 from qcompact.prokhorov import check_alpha_block
 
 from oracles import feasible_by_subsets, prokhorov_sweep_bisect, tv_subsets
@@ -176,6 +177,39 @@ class TestCheckAlpha:
         Q = DiscreteMeasure.dirac(sp, 0)
         check_alpha(P, Q, 1.0, 0.5).validate(P, Q)
         check_alpha(P, Q, 1.0, 0.4).validate(P, Q)
+
+    def test_recheck_copies_one_block_of_cut_rows(self, monkeypatch):
+        """At alpha* on 1000 planar points the min-cut set holds 419 P-atoms.
+        The recheck reads their distance rows one ``EUCLID_BLOCK`` at a time,
+        where copying them all took 3.6 MiB; the whole check peaks at the
+        dense coupling it returns."""
+        n = 1000
+        rng = np.random.default_rng(0)
+        coords, p, q = rng.random((n, 2)), rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        dist = FiniteMetricSpace(coords=coords).dist
+        alpha = prokhorov_sweep(p, q, dist, [1.0])[0].alpha_star
+        rows, peaks = [], []
+        neighborhood = prokhorov_module.closed_neighborhood
+
+        def traced(d, cut, lam, a):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            near = neighborhood(d, cut, lam, a)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            rows.append(cut.size)
+            return near
+
+        monkeypatch.setattr(prokhorov_module, "closed_neighborhood", traced)
+        tracemalloc.start()
+        try:
+            cert = check_alpha_block(p, q, dist, 1.0, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cert, CouplingCertificate)
+        assert rows == [419]
+        assert max(peaks) <= 1.5 * EUCLID_BLOCK * n * 8
+        assert peak <= 1.2 * n * n * 8
 
 
 class TestProkhorovDistance:

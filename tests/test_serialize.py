@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import threading
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcompact.serialize import dumps_deterministic, to_jsonable, write_atomic, write_report
+from qcompact.serialize import (
+    dumps_deterministic,
+    sha256_file,
+    to_jsonable,
+    write_atomic,
+    write_report,
+)
 
 from oracles import dumps_recursive
 
@@ -187,3 +194,12 @@ def test_non_finite_floats_raise(bad):
 def test_complex_arrays_raise():
     with pytest.raises(TypeError, match="complex"):
         dumps_deterministic(np.array([1 + 2j]))
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 200000])
+def test_sha256_file_matches_hashlib(size, tmp_path):
+    # sizes around the 64 KiB read, and several reads
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert sha256_file(str(path)) == hashlib.sha256(data).hexdigest()

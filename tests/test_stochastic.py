@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from qcompact import (
     FiniteMetricSpace,
     PathEnsemble,
     PLPath,
+    aa_net,
     modulus,
     mu_sub_hat,
     mu_suec_hat,
@@ -331,6 +334,36 @@ class TestPathDistances:
         block = path_metric_per_row(rows + cols)[:n_rows, n_rows:]
         assert path_distances(rows, cols).tobytes() == block.tobytes()
 
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, PATH_TILE[0] - 1, PATH_TILE[0], PATH_TILE[0] + 1])
+    def test_row_blocks_match_the_oracle_block(self, n_rows, n_dim):
+        rng = np.random.default_rng([n_rows, n_dim, 1])
+        rows = random_paths(rng, n_rows, n_dim)
+        cols = random_paths(rng, 2 * PATH_TILE[1] + 1, n_dim)
+        block = path_metric_per_row(rows + cols)[:n_rows, n_rows:]
+        assert path_distances(rows, cols).tobytes() == block.tobytes()
+
+    def test_holds_one_row_block_of_values(self):
+        """400 walks against the 400 members of their net, on T = 365 times:
+        the rows' values are made one block of PATH_TILE[0] rows at a time,
+        so the call peaks one (400, T) array of row values below the
+        4.23 MiB it took when every row's values were made at once, less
+        what one block holds while it is made: itself and the evaluation's
+        temporaries, four blocks' worth."""
+        walks = list(sample_walks(64, 400, seed=11).paths)
+        members = aa_net(walks, 0.01, 4.0, 4.0, 0.025).members
+        times = np.unique(np.concatenate([x.knots for x in [*walks, *members]]))
+        assert (len(members), times.size) == (400, 365)
+        tracemalloc.start()
+        try:
+            path_distances(walks, members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_values = len(walks) * times.size * 8
+        block = PATH_TILE[0] * times.size * 8
+        assert peak <= 4.23 * 2**20 - row_values + 4 * block
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 2 * PATH_TILE[0] + 1),
@@ -348,9 +381,12 @@ class TestPathDistances:
         rows = rng.standard_normal((n, n_times, 1)) * scale
         cols = rng.standard_normal((m, n_times, 1)) * scale
         cols[: m // 2] = rows[0]  # pairs at distance 0
-        flat = stochastic_module._squared_distances(rows, cols)
+        flat = stochastic_module._squared_distances(lambda a, b: rows[a:b], n, cols)
         pad = [(0, 0), (0, 0), (0, 1)]
-        summed = stochastic_module._squared_distances(np.pad(rows, pad), np.pad(cols, pad))
+        padded = np.pad(rows, pad)
+        summed = stochastic_module._squared_distances(
+            lambda a, b: padded[a:b], n, np.pad(cols, pad)
+        )
         assert flat.tobytes() == summed.tobytes()
 
     @pytest.mark.parametrize("scale", [1e-158, 1e-160, 1e-162])
