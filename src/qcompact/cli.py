@@ -257,7 +257,7 @@ def _load_coords(path: str) -> np.ndarray:
     coords = _parse(lambda c: np.asarray(c, dtype=float), obj["coords"], path)
     if coords.ndim == 1:
         coords = coords[:, None]
-    if coords.ndim != 2 or coords.shape[0] == 0 or not np.isfinite(coords).all():
+    if coords.ndim != 2 or 0 in coords.shape or not np.isfinite(coords).all():
         raise CLIError(f"{path}: coords must be a nonempty finite 2-d array")
     return coords
 

@@ -174,7 +174,7 @@ class FiniteMetricSpace:
             coords = np.asarray(coords, dtype=float)
             if coords.ndim == 1:
                 coords = coords[:, None]
-            if coords.ndim != 2 or coords.shape[0] == 0:
+            if coords.ndim != 2 or 0 in coords.shape:
                 raise ValueError("coords must be a nonempty 2-d array of shape (n, N)")
             if not np.isfinite(coords).all():
                 raise ValueError("coords must be finite")

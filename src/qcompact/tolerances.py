@@ -34,30 +34,20 @@ parameter:
   ``jung_check`` compares the radius with ``diam/2`` and the Jung bound up
   to the containment slack.  The certificate is a nonnegative combination of
   points on the ball's sphere, with weights summing to 1, that reproduces
-  the center: the center's barycentric weights on the final support of
-  ``chebyshev_center``'s loop, for every input, cospherical ones included.  ``chebyshev_centers`` holds its batched balls
-  to the same two bounds, with the barycentric weights of each ball's
-  support as the combination.
-- ``AFFINE_TOL``: ``chebyshev_center``'s loop takes its center to lie in the
-  affine hull of its support when the support's circumcenter is within this
-  times the radius, and a point stops the walk toward that circumcenter only
-  when it nears the sphere faster than this times the radius per unit of
-  the walk; a slower one ends outside by at most this share of the walk's
-  length.
-- ``SUPPORT_BAND``: ``chebyshev_centers`` gives a support point no weight
-  when it lies further than this distance (times ``max(1, radius)``) inside
-  its ball's sphere.  The band covers the rounding of the computed center
-  and distances, which moves a point of the sphere off it.
+  the center: the center's barycentric weights on the final support of the
+  ball loop, which ``chebyshev_center`` and ``chebyshev_centers`` share, for
+  every input, cospherical ones included.
+- ``AFFINE_TOL``: the ball loop takes its center to lie in the affine hull
+  of its support when the support's circumcenter is within this times the
+  radius, and a point stops the walk toward that circumcenter only when it
+  nears the sphere faster than this times the radius per unit of the walk;
+  a slower one ends outside by at most this share of the walk's length.
 - ``SUPPORT_WEIGHT_MIN``: a point whose certificate weight is at or below
   this is left out of the support, so the support lists only the points the
   combination really uses.
-- ``INSIDE_REL``, ``INSIDE_ABS``: the batched ball solver counts a point
-  inside a candidate ball when its squared distance to the center is at most
-  ``r2 * (1 + INSIDE_REL) + INSIDE_ABS`` (``r2`` the squared radius), so
-  that the points that define a ball, which lie on its sphere up to the
-  rounding of the center, count as inside it.  ``chebyshev_center``'s loop
-  takes a point whose squared distance is at least ``r2 * (1 - INSIDE_REL)``
-  as on the sphere.
+- ``INSIDE_REL``: the ball loop takes a point whose squared distance to the
+  center is at least ``r2 * (1 - INSIDE_REL)`` (``r2`` the squared radius)
+  as on the sphere already, so that it stops the walk at once.
 - ``RESIDUAL_EPS``: the max-flow solver treats a residual capacity at or
   below this as saturated, so that it never augments along rounding residue.
   The flow it returns then falls short of the capacity of the cut it returns
@@ -92,10 +82,8 @@ PATH_BOUND_SLACK = 1e-12
 NORM_BOUND_FLOOR = 1e-9
 HULL_TOL = 1e-9
 AFFINE_TOL = 1e-12
-SUPPORT_BAND = 1e-7
 SUPPORT_WEIGHT_MIN = 1e-12
 INSIDE_REL = 3e-13
-INSIDE_ABS = 1e-30
 ORACLE_TOL = 1e-9
 ORACLE_BISECT_TOL = 1e-10
 RESIDUAL_EPS = 1e-15

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,35 @@ def assert_certificate(pts, out):
     assert resid <= 1e-9 * hull_scale
 
 
+def shrunk_loop(loop):
+    """``loop`` with the heaviest support point of each ball left out, and
+    the center moved to the circumcenter of the rest: a ball that misses
+    that point."""
+
+    def shrunk(pts, dup):
+        _, slots, count, weights = loop(pts, dup)
+        centers = np.empty((len(pts), pts.shape[2]))
+        for i, m in enumerate(count):
+            rest = np.delete(slots[i, :m], np.argmax(weights[i, :m]))
+            center, w = ball_module._circumcenters(pts[i, rest][None])
+            slots[i, : m - 1], centers[i], weights[i, : m - 1] = rest, center[0], w[0]
+            weights[i, m - 1 :] = 0.0
+        return centers, slots, count - 1, weights
+
+    return shrunk
+
+
+def perturbed_loop(loop):
+    """``loop`` with every weight grown by 1e-6 of itself: a combination that
+    misses the center."""
+
+    def perturbed(pts, dup):
+        center, slots, count, weights = loop(pts, dup)
+        return center, slots, count, weights * (1.0 + 1e-6)
+
+    return perturbed
+
+
 class TestChebyshevCenter:
     def test_singleton(self):
         out = chebyshev_center([[2.0, -3.0]])
@@ -98,6 +128,11 @@ class TestChebyshevCenter:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             chebyshev_center([[np.nan, 0.0]])
+
+    @pytest.mark.parametrize("pts", [np.zeros((3, 0)), np.zeros((0, 2)), np.zeros((2, 2, 2))])
+    def test_rejects_points_without_coordinates(self, pts):
+        with pytest.raises(ValueError, match="point array"):
+            chebyshev_center(pts)
 
     @given(point_cloud())
     @settings(max_examples=50)
@@ -148,28 +183,14 @@ class TestChebyshevCenter:
         # the radius is read off the center against the support, so the
         # smaller ball through the support without its heaviest point stands
         # in for a shrunk one: that point lies outside it
-        loop = ball_module._ball_loop
-
-        def shrunk(pts):
-            _, support, weights = loop(pts)
-            del support[int(np.argmax(weights))]
-            center, weights = ball_module._circumcenter(pts[support])
-            return center, support, weights
-
-        monkeypatch.setattr(ball_module, "_ball_loop", shrunk)
+        monkeypatch.setattr(ball_module, "_ball_loop", shrunk_loop(ball_module._ball_loop))
         pts = np.random.default_rng(1).standard_normal((50, 3)) * scale
         with pytest.raises(InternalConsistencyError, match="misses a point"):
             chebyshev_center(pts)
 
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e9, 1e12])
     def test_perturbed_weights_are_rejected(self, scale, monkeypatch):
-        loop = ball_module._ball_loop
-
-        def perturbed(pts):
-            center, support, weights = loop(pts)
-            return center, support, weights * (1.0 + 1e-6)
-
-        monkeypatch.setattr(ball_module, "_ball_loop", perturbed)
+        monkeypatch.setattr(ball_module, "_ball_loop", perturbed_loop(ball_module._ball_loop))
         pts = np.random.default_rng(1).standard_normal((50, 3)) * scale
         with pytest.raises(InternalConsistencyError, match="support hull"):
             chebyshev_center(pts)
@@ -254,7 +275,7 @@ class TestPivoting:
     )
     def test_generic_balls_leave_scipy_unloaded(self, case, tmp_path):
         # the loop's own weights certify cospherical sets too (the cube's 8
-        # vertices); verify-qaa's window balls come from the batched solver,
+        # vertices); verify-qaa's window balls come from the batched loop,
         # in 3-D and at its largest dimension.  No job loads OpenSSL's
         # hashes (_hashlib) to hash its inputs, a measure job neither.
         rng = np.random.default_rng(8)
@@ -266,7 +287,7 @@ class TestPivoting:
             (tmp_path / "q.json").write_text(json.dumps(q))
             args = [str(tmp_path / "q.json"), "--lambda-grid", "0.5,1"]
         elif case.startswith("verify-qaa"):
-            dim = ball_module.BATCH_MAX_DIM if case.endswith("max-dim") else 3
+            dim = ball_module.MAX_DIM if case.endswith("max-dim") else 3
             values = np.cumsum(rng.standard_normal((12, 17, dim)) / 4.0, axis=1)
             paths = [{"knots": np.linspace(0, 1, 17).tolist(), "values": v.tolist()} for v in values]
             bound_m = math.ceil(np.sqrt((values**2).sum(axis=2)).max())
@@ -366,26 +387,15 @@ class TestSupportCertificate:
         assert_certificate(pts, out)
 
 
-def _count_scalar_calls(monkeypatch) -> list:
-    """Every set the batched solver hands to ``chebyshev_center``."""
-    calls = []
-    scalar = ball_module.chebyshev_center
-
-    def counted(points):
-        calls.append(np.array(points))
-        return scalar(points)
-
-    monkeypatch.setattr(ball_module, "chebyshev_center", counted)
-    return calls
-
-
 def assert_batched_balls(sets, centers, radii):
-    """Each ball has the radius of ``chebyshev_center`` and of the subset
-    oracle and contains its set, each up to ``HULL_TOL * max(1, radius)``,
-    and has a valid support hull up to ``hull_bound``."""
+    """Each ball is that of ``chebyshev_center`` on its set, bit for bit,
+    has the radius of the subset oracle and contains its set, each up to
+    ``HULL_TOL * max(1, radius)``, and has a valid support hull up to
+    ``hull_bound``."""
     for pts, center, radius in zip(sets, centers, radii):
+        want = chebyshev_center(pts)
+        assert radius == want.radius and np.array_equal(center, want.center)
         bound = HULL_TOL * max(1.0, radius)
-        assert abs(radius - chebyshev_center(pts).radius) <= bound
         assert abs(radius - meb_by_subsets(pts)[1]) <= bound
         assert np.sqrt(((pts - center) ** 2).sum(axis=1)).max() <= radius + bound
         _, resid, _ = support_certificate_nnls(pts, center, radius)
@@ -394,8 +404,8 @@ def assert_batched_balls(sets, centers, radii):
 
 class TestChebyshevCenters:
     @given(
-        st.integers(2, 6),
-        st.integers(1, 12),
+        st.integers(1, 16),
+        st.integers(1, 10),
         st.integers(1, 4),
         st.sampled_from([None, 0.5, 1.0]),
         st.integers(0, 2**32 - 1),
@@ -410,12 +420,12 @@ class TestChebyshevCenters:
 
     @pytest.mark.parametrize("dim", [2, 3, 6])
     def test_sets_larger_than_the_working_set_pivot(self, dim):
+        # sets of more than N+2 points
         sets = np.random.default_rng(dim).standard_normal((40, dim + 6, dim))
         centers, radii = chebyshev_centers(sets)
         for pts, center, radius in zip(sets, centers, radii):
             want = chebyshev_center(pts)
-            assert abs(radius - want.radius) <= HULL_TOL * max(1.0, radius)
-            assert np.abs(center - want.center).max() <= HULL_TOL * max(1.0, radius)
+            assert radius == want.radius and np.array_equal(center, want.center)
 
     @pytest.mark.parametrize(
         "pts",
@@ -436,62 +446,48 @@ class TestChebyshevCenters:
         assert_batched_balls(sets, *chebyshev_centers(sets))
 
     def test_far_sets_certify(self):
-        """Unit-spread sets near 1e9, whose hull residuals reach about 1e-8
-        from rounding alone: the batched gate and the scalar solver both
-        bound them by ``hull_bound``, which scales with the coordinates."""
-        sets = np.random.default_rng(3).standard_normal((50, 3, 3)) + 1e9
-        centers, radii = chebyshev_centers(sets)
-        for pts, center, radius in zip(sets, centers, radii):
-            bound = HULL_TOL * max(1.0, radius)
-            assert abs(radius - chebyshev_center(pts).radius) <= bound
-            assert np.sqrt(((pts - center) ** 2).sum(axis=1)).max() <= radius + bound
-            _, resid, _ = support_certificate_nnls(pts, center, radius)
-            assert resid <= hull_bound(pts, radius)
+        """Unit-spread sets at offsets 1e4, 1e6 and 1e9 in N = 2 and 3, whose
+        hull residuals reach about 1e-8 from rounding alone at 1e9: each
+        ball is that of ``chebyshev_center``, and its gates bound it by
+        ``hull_bound``, which scales with the coordinates."""
+        for dim in (2, 3):
+            for offset in (1e4, 1e6, 1e9):
+                sets = np.random.default_rng([dim, int(offset)]).standard_normal((50, 3, dim))
+                sets += offset
+                centers, radii = chebyshev_centers(sets)
+                for pts, center, radius in zip(sets, centers, radii):
+                    want = chebyshev_center(pts)
+                    assert radius == want.radius and np.array_equal(center, want.center)
+                    bound = HULL_TOL * max(1.0, radius)
+                    assert np.sqrt(((pts - center) ** 2).sum(axis=1)).max() <= radius + bound
+                    _, resid, _ = support_certificate_nnls(pts, center, radius)
+                    assert resid <= hull_bound(pts, radius)
 
-    @pytest.mark.parametrize("corrupt", ["weights", "radii"])
-    def test_rejected_balls_come_from_the_scalar_solver(self, corrupt, monkeypatch):
-        # negated weights fail the hull gate; shrunk radii leave no candidate
-        # that contains the working set
-        balls = ball_module._candidate_balls
+    def test_stale_slots_leave_the_support_masked(self):
+        """A row that leaves T stays in a slot past the support's count.  On
+        this set, masking through those stale slots too gives a ball that
+        misses a point, and letting a stale slot unmask a row of T lets that
+        row join T twice, so that ``np.linalg.solve`` meets a singular
+        system."""
+        pts = np.random.default_rng(0).standard_normal((40000, 12, 6))[2341]
+        centers, radii = chebyshev_centers(pts[None])
+        want = chebyshev_center(pts)
+        assert radii[0] == want.radius and np.array_equal(centers[0], want.center)
+        assert_certificate(pts, want)
 
-        def corrupted(*args):
-            centers, r2, weights, good = balls(*args)
-            if corrupt == "weights":
-                return centers, r2, -weights, good
-            return centers, r2 * (1.0 - 1e-6) ** 2, weights, good
-
-        monkeypatch.setattr(ball_module, "_candidate_balls", corrupted)
-        calls = _count_scalar_calls(monkeypatch)
+    @pytest.mark.parametrize("corrupt", ["center", "weights"])
+    def test_failed_gates_raise(self, corrupt, monkeypatch):
+        loop = (shrunk_loop if corrupt == "center" else perturbed_loop)(ball_module._ball_loop)
+        monkeypatch.setattr(ball_module, "_ball_loop", loop)
         sets = np.random.default_rng(4).standard_normal((7, 6, 3))
-        centers, radii = chebyshev_centers(sets)
-        assert len(calls) == 7
-        for pts, center, radius in zip(sets, centers, radii):
-            want = chebyshev_center(pts)
-            assert radius == want.radius and np.array_equal(center, want.center)
+        with pytest.raises(InternalConsistencyError, match="misses a point|support hull"):
+            chebyshev_centers(sets)
 
-    def test_pivot_cap_hands_sets_to_the_scalar_solver(self, monkeypatch):
-        # the scalar solver, capped too, then gives up as it would alone
+    def test_step_cap_raises(self, monkeypatch):
         sets = np.random.default_rng(5).standard_normal((20, 12, 2))
-        calls = _count_scalar_calls(monkeypatch)
-        monkeypatch.setattr(ball_module, "MAX_PIVOTS", 1)
         monkeypatch.setattr(ball_module, "MAX_STEPS", 1)
         with pytest.raises(InternalConsistencyError, match="steps"):
             chebyshev_centers(sets)
-        assert calls
-
-    def test_generic_sets_need_no_fallback(self, monkeypatch):
-        calls = _count_scalar_calls(monkeypatch)
-        for dim in range(2, ball_module.BATCH_MAX_DIM + 1):
-            chebyshev_centers(np.random.default_rng(dim).standard_normal((50, dim + 4, dim)))
-        assert calls == []
-
-    def test_dimensions_past_the_cutoff_use_the_scalar_solver(self, monkeypatch):
-        calls = _count_scalar_calls(monkeypatch)
-        dim = ball_module.BATCH_MAX_DIM + 1
-        sets = np.random.default_rng(7).standard_normal((3, 5, dim))
-        centers, radii = chebyshev_centers(sets)
-        assert len(calls) == 3
-        assert radii[1] == chebyshev_center(sets[1]).radius
 
     def test_chunks_do_not_change_the_balls(self, monkeypatch):
         sets = np.random.default_rng(6).standard_normal((30, 7, 3))
@@ -501,6 +497,19 @@ class TestChebyshevCenters:
         assert np.array_equal(whole[0], one_by_one[0])
         assert np.array_equal(whole[1], one_by_one[1])
 
+    def test_memory_stays_below_the_input(self):
+        """Blocks of ``BATCH_CHUNK`` elements keep the traced peak below the
+        bytes of the stack itself; the whole stack at once took 11 times
+        them."""
+        sets = np.random.default_rng(7).standard_normal((40000, 8, 3))
+        tracemalloc.start()
+        try:
+            chebyshev_centers(sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sets.nbytes
+
     @pytest.mark.parametrize(
         "sets, message",
         [
@@ -508,6 +517,7 @@ class TestChebyshevCenters:
             (np.zeros((0, 3, 2)), "array of point sets"),
             (np.full((1, 2, 2), np.inf), "finite"),
             (np.zeros((1, 2, 17)), "dimension"),
+            (np.zeros((2, 3, 0)), "array of point sets"),
         ],
     )
     def test_rejects_bad_input(self, sets, message):
@@ -516,6 +526,11 @@ class TestChebyshevCenters:
 
 
 class TestJung:
+    @pytest.mark.parametrize("pts", [np.zeros((3, 0)), np.zeros((2, 2, 2)), [[np.inf, 0.0]]])
+    def test_rejects_bad_input_before_the_scan(self, pts):
+        with pytest.raises(ValueError, match="point array|finite"):
+            jung_check(pts)
+
     def test_ratio_values(self):
         assert jung_ratio(1) == pytest.approx(0.5, abs=1e-15)
         assert jung_ratio(2) == pytest.approx(1 / math.sqrt(3), abs=1e-15)

@@ -344,6 +344,19 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "command, args",
+        [("cheby", []), ("jung-check", []), ("cover-profile", ["--k-max", "2"])],
+    )
+    def test_points_without_coordinates(self, files, capsys, command, args):
+        """Rows with no coordinates are bad input, named in one line, not a
+        numpy reduction error."""
+        bad = write_json(files["dir"] / "no_coords.json", {"coords": [[], [], []]})
+        assert main([command, bad, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: coords must be a nonempty"), err
+        assert err.count("\n") == 1, err
+
     def test_overflowing_coordinates(self, tmp_path):
         """Finite coordinates whose distances overflow print one error line
         that names them, and no numpy warning, in a fresh process."""

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every name
 a module exports resolves, no module imports scipy, no module imports
-hashlib but as a fallback for a missing module, and no module but
-``tolerances.py`` writes a tolerance-sized float literal.
+hashlib but as a fallback for a missing module, no module but
+``tolerances.py`` writes a tolerance-sized float literal, and every
+tolerance that ``tolerances.py`` defines is imported by another module.
 
 No linter ships with the package, so this parses each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are the
@@ -147,6 +148,42 @@ def test_no_tolerance_literals(path):
 def test_detects_a_tolerance_literal():
     source = "x = 1e-6 + 2.5\nif y > x - 1e-12:\n    z = f(3e-13, 10)\n"
     assert tolerance_literals(source) == ["line 2: 1e-12", "line 3: 3e-13"]
+
+
+def unread_tolerances(tolerances: str, modules: list[str]) -> list[str]:
+    """The names that the ``tolerances`` source assigns at its top level and
+    that none of the ``modules`` sources imports from it."""
+    defined = [
+        target.id
+        for node in ast.parse(tolerances).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    read = {
+        alias.name
+        for source in modules
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("tolerances", "qcompact.tolerances")
+        for alias in node.names
+    }
+    return [name for name in defined if name not in read]
+
+
+def test_every_tolerance_is_read():
+    # a tolerance that no module reads bounds nothing
+    others = [p.read_text() for p in MODULES if p.name != "tolerances.py"]
+    assert unread_tolerances((PACKAGE / "tolerances.py").read_text(), others) == []
+
+
+def test_detects_an_unread_tolerance():
+    tolerances = '"""doc"""\nA = 1e-9\nB = 2e-9\nC: float = 3e-9\nD = 4e-9\n'
+    modules = [
+        "from .tolerances import A\n",
+        "from qcompact.tolerances import (\n    C,\n)\nfrom .other import D\n",
+    ]
+    assert unread_tolerances(tolerances, modules) == ["B", "D"]
 
 
 @pytest.mark.parametrize(

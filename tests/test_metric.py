@@ -33,6 +33,10 @@ class TestFiniteMetricSpace:
         assert sp.dist[0, 1] == pytest.approx(5.0, abs=1e-12)
         assert sp.n_points == 2
 
+    def test_rejects_points_without_coordinates(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            FiniteMetricSpace(coords=np.zeros((3, 0)))
+
     def test_rejects_asymmetric(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
