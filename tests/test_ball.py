@@ -405,7 +405,7 @@ def assert_batched_balls(sets, centers, radii):
 class TestChebyshevCenters:
     @given(
         st.integers(1, 16),
-        st.integers(1, 10),
+        st.integers(1, 12),
         st.integers(1, 4),
         st.sampled_from([None, 0.5, 1.0]),
         st.integers(0, 2**32 - 1),
