@@ -1,7 +1,8 @@
 """Minimal enclosing balls (Chebyshev centers) in R^N with support certificates.
 
 One loop solves every ball, of one set (``chebyshev_center``) or of a stack
-of sets of one size (``chebyshev_centers``): the simplex-like loop of
+of sets (``chebyshev_centers`` for sets of one size,
+``ragged_chebyshev_centers`` for sets of any sizes): the simplex-like loop of
 Fischer, Gärtner and Kutz ("Fast smallest-enclosing-ball computation in high
 dimensions", ESA 2003), run on all sets of a stack at once.  For each set it
 keeps a support T of affinely independent points on the sphere of a ball
@@ -22,7 +23,8 @@ The loop takes each set in one canonical form: its rows in lexicographic
 order (that of ``np.unique``), relative to the first, with exact duplicates
 of a row left out.  So a ball does not depend on the caller's order, points
 far from the origin keep the precision of their spread, and a set gives the
-same ball, bit for bit, alone or in any stack.  A stack goes through in
+same ball, bit for bit, alone or in any stack, and with extra copies of any
+of its rows.  A stack goes through in
 blocks of ``BATCH_CHUNK`` elements per temporary, so memory does not grow
 with the number of sets.
 
@@ -50,6 +52,7 @@ __all__ = [
     "BallCertificate",
     "chebyshev_center",
     "chebyshev_centers",
+    "ragged_chebyshev_centers",
     "hull_bound",
     "jung_ratio",
     "JungCheck",
@@ -319,14 +322,36 @@ def chebyshev_centers(sets) -> tuple[np.ndarray, np.ndarray]:
     sets = np.asarray(sets, dtype=float)
     if sets.ndim != 3 or 0 in sets.shape:
         raise ValueError("need a nonempty (B, n, N) array of point sets")
-    _check_values(sets)
     nb, n, dim = sets.shape
-    centers = np.empty((nb, dim))
-    radii = np.empty(nb)
-    step = max(1, BATCH_CHUNK // (n * dim))
-    for lo in range(0, nb, step):
+    return ragged_chebyshev_centers(sets.reshape(nb * n, dim), np.full(nb, n))
+
+
+def ragged_chebyshev_centers(points, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """``chebyshev_centers`` of B sets of different sizes, stacked set after
+    set in the (sizes.sum(), N) array ``points``, with ``sizes[b] >= 1``
+    rows in set b.
+
+    Each set joins one stack padded to the largest size with copies of its
+    first row.  The loop leaves exact duplicates out, so each ball is bit for
+    bit that of ``chebyshev_center`` on the set alone.  The stack is gathered
+    ``BATCH_CHUNK`` elements at a time."""
+    points = np.asarray(points, dtype=float)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if points.ndim != 2 or 0 in points.shape or sizes.ndim != 1 or not sizes.size:
+        raise ValueError("need a nonempty (n, N) point array and a nonempty list of set sizes")
+    if sizes.min() < 1 or sizes.sum() != len(points):
+        raise ValueError("set sizes must be >= 1 and add up to the number of points")
+    _check_values(points)
+    width, dim = int(sizes.max()), points.shape[1]
+    slot = np.arange(width)
+    starts = np.cumsum(sizes) - sizes
+    centers = np.empty((sizes.size, dim))
+    radii = np.empty(sizes.size)
+    step = max(1, BATCH_CHUNK // (width * dim))
+    for lo in range(0, sizes.size, step):
         part = slice(lo, lo + step)
-        centers[part], radii[part] = _balls(sets[part])[:2]
+        rows = starts[part, None] + np.where(slot < sizes[part, None], slot, 0)
+        centers[part], radii[part] = _balls(points[rows])[:2]
     return centers, radii
 
 

@@ -9,6 +9,8 @@ error, 2 hard verification failure, 3 inconclusive sandwich.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -17,21 +19,9 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .ball import chebyshev_center, jung_check
-from .cover import cover_profile
+# the package's modules run on first use, so a job runs only its command's
+from . import ball, cover, metric, paths, prokhorov, serialize, stochastic
 from .errors import InternalConsistencyError
-from .metric import FiniteMetricSpace
-from .paths import PLPath, aa_net, modulus, verify_qaa
-from .prokhorov import (
-    DiscreteMeasure,
-    prokhorov_distances,
-    prokhorov_oracle,
-    mu_ut,
-    tv_distance,
-    verify_qprokh,
-)
-from .serialize import csv_text, dumps_deterministic, sha256_file, write_atomic, write_report
-from .stochastic import PathEnsemble, sample_walks, verify_qsaa
 from .tolerances import ORACLE_TOL
 
 __all__ = ["main", "RunConfig"]
@@ -46,6 +36,12 @@ STATUS_EXIT = {"verified": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE, "failed":
 
 #: spaces small enough to cross-check against the subset-enumeration oracle
 ORACLE_LIMIT = 12
+
+# The interpreter's collections at exit skip every object a finished job
+# holds (numpy's, mostly).  Nothing here waits on a collection to be freed:
+# report files are closed by their ``with`` blocks, and atexit handlers and
+# the flush of the standard streams still run.
+atexit.register(gc.freeze)
 
 
 class CLIError(Exception):
@@ -211,11 +207,11 @@ def _parse(build, obj, where: str):
         raise CLIError(f"{where}: {exc}")
 
 
-def _load_space(path: str) -> FiniteMetricSpace:
-    return _parse(FiniteMetricSpace.from_dict, _load_json(path), path)
+def _load_space(path: str) -> metric.FiniteMetricSpace:
+    return _parse(metric.FiniteMetricSpace.from_dict, _load_json(path), path)
 
 
-def _load_measure(path: str, space_cache: dict) -> DiscreteMeasure:
+def _load_measure(path: str, space_cache: dict) -> prokhorov.DiscreteMeasure:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise CLIError(f"{path}: measure must be a JSON object")
@@ -233,19 +229,19 @@ def _load_measure(path: str, space_cache: dict) -> DiscreteMeasure:
         # (always absolute here) can equal
         key = json.dumps(spec, sort_keys=True)
         if key not in space_cache:
-            space_cache[key] = _parse(FiniteMetricSpace.from_dict, spec, f"{path}: space")
+            space_cache[key] = _parse(metric.FiniteMetricSpace.from_dict, spec, f"{path}: space")
         space = space_cache[key]
-    return _parse(lambda mass: DiscreteMeasure(space, mass), obj["mass"], path)
+    return _parse(lambda mass: prokhorov.DiscreteMeasure(space, mass), obj["mass"], path)
 
 
-def _load_measures(paths: list[str]) -> list[DiscreteMeasure]:
+def _load_measures(files: list[str]) -> list[prokhorov.DiscreteMeasure]:
     """Measures on one common space; a space file they share is read once, and
     identical inline spaces are built once."""
     cache: dict = {}
-    measures = [_load_measure(p, cache) for p in paths]
-    for m, p in zip(measures[1:], paths[1:]):
+    measures = [_load_measure(p, cache) for p in files]
+    for m, p in zip(measures[1:], files[1:]):
         if not m.space.same_as(measures[0].space):
-            raise CLIError(f"{p}: space differs from {paths[0]}")
+            raise CLIError(f"{p}: space differs from {files[0]}")
     return measures
 
 
@@ -262,7 +258,7 @@ def _load_coords(path: str) -> np.ndarray:
     return coords
 
 
-def _load_family(path: str) -> list[PLPath]:
+def _load_family(path: str) -> list[paths.PLPath]:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "paths" not in obj:
         raise CLIError(f"{path}: need a 'paths' array")
@@ -270,13 +266,13 @@ def _load_family(path: str) -> list[PLPath]:
     if not isinstance(obj["paths"], list) or not obj["paths"]:
         raise CLIError(f"{path}: 'paths' must be a nonempty array")
     return [
-        _parse(PLPath.from_dict, entry, f"{path}: paths[{i}]")
+        _parse(paths.PLPath.from_dict, entry, f"{path}: paths[{i}]")
         for i, entry in enumerate(obj["paths"])
     ]
 
 
 def _hash_entry(path: str) -> dict:
-    return {"path": os.path.basename(path), "sha256": sha256_file(path)}
+    return {"path": os.path.basename(path), "sha256": serialize.sha256_file(path)}
 
 
 def _input_hashes(cfg: RunConfig) -> dict:
@@ -299,10 +295,10 @@ def _run_prokhorov_dist(cfg: RunConfig):
     n = P.space.n_points
     rows = []
     grid = cfg.params["lambda_grid"]
-    for lam, res in zip(grid, prokhorov_distances(P, Q, grid)):
+    for lam, res in zip(grid, prokhorov.prokhorov_distances(P, Q, grid)):
         oracle_checked = n <= ORACLE_LIMIT
         if oracle_checked:
-            ref = prokhorov_oracle(P, Q, lam)
+            ref = prokhorov.prokhorov_oracle(P, Q, lam)
             if abs(ref - res.alpha_star) > ORACLE_TOL:
                 raise InternalConsistencyError(
                     f"sweep value {res.alpha_star!r} disagrees with the "
@@ -323,26 +319,26 @@ def _run_prokhorov_dist(cfg: RunConfig):
 
 def _run_tv_dist(cfg: RunConfig):
     P, Q = _load_measures([cfg.inputs["p"], cfg.inputs["q"]])
-    return {"tv": tv_distance(P, Q)}, None, EXIT_OK
+    return {"tv": prokhorov.tv_distance(P, Q)}, None, EXIT_OK
 
 
 def _run_mu_ut(cfg: RunConfig):
     measures = _load_measures(cfg.inputs["measures"])
-    result = mu_ut(measures, cfg.params["eps_grid"], cfg.params["k_max"])
+    result = prokhorov.mu_ut(measures, cfg.params["eps_grid"], cfg.params["k_max"])
     return {"mu_ut": result}, None, EXIT_OK
 
 
 def _run_cover_profile(cfg: RunConfig):
     space = _load_space(cfg.inputs["space"])
-    profile = cover_profile(space.dist, cfg.params["k_max"], coords=space.coords)
+    profile = cover.cover_profile(space.dist, cfg.params["k_max"], coords=space.coords)
     table = [(e.k, e.radius, e.packing) for e in profile.entries]
     return {"profile": profile}, table, EXIT_OK
 
 
 def _run_modulus(cfg: RunConfig):
-    path = _parse(PLPath.from_dict, _load_json(cfg.inputs["path"]), cfg.inputs["path"])
+    path = _parse(paths.PLPath.from_dict, _load_json(cfg.inputs["path"]), cfg.inputs["path"])
     rows = [
-        {"delta": d, "modulus": modulus(path, d)}
+        {"delta": d, "modulus": paths.modulus(path, d)}
         for d in cfg.params["delta_grid"]
     ]
     return {"sup_norm": path.sup_norm, "rows": rows}, None, EXIT_OK
@@ -350,21 +346,21 @@ def _run_modulus(cfg: RunConfig):
 
 def _run_cheby(cfg: RunConfig):
     coords = _load_coords(cfg.inputs["points"])
-    return {"ball": chebyshev_center(coords)}, None, EXIT_OK
+    return {"ball": ball.chebyshev_center(coords)}, None, EXIT_OK
 
 
 def _run_jung_check(cfg: RunConfig):
     coords = _load_coords(cfg.inputs["points"])
     if coords.shape[0] < 2:
         raise CLIError("jung-check needs at least 2 points")
-    check = jung_check(coords)
+    check = ball.jung_check(coords)
     return {"jung": check}, None, EXIT_OK if check.ok else EXIT_FAILED
 
 
 def _run_aa_net(cfg: RunConfig):
     family = _load_family(cfg.inputs["family"])
     p = cfg.params
-    net = aa_net(family, p["delta"], p["alpha"], p["bound_m"], p["eps"])
+    net = paths.aa_net(family, p["delta"], p["alpha"], p["bound_m"], p["eps"])
     table = [(i, s.achieved, s.bound) for i, s in enumerate(net.per_sample)]
     # the net's fields and its lattice values, which only this report lists
     report = {f.name: getattr(net, f.name) for f in fields(net)}
@@ -375,7 +371,7 @@ def _run_aa_net(cfg: RunConfig):
 def _run_verify_qprokh(cfg: RunConfig):
     measures = _load_measures(cfg.inputs["measures"])
     p = cfg.params
-    report = verify_qprokh(
+    report = prokhorov.verify_qprokh(
         measures,
         p["lambda_grid"],
         p["eps"],
@@ -388,17 +384,17 @@ def _run_verify_qprokh(cfg: RunConfig):
 def _run_verify_qaa(cfg: RunConfig):
     family = _load_family(cfg.inputs["family"])
     p = cfg.params
-    report = verify_qaa(family, p["delta_grid"], p["bound_m"], p["eps"])
+    report = paths.verify_qaa(family, p["delta_grid"], p["bound_m"], p["eps"])
     return {"report": report}, None, STATUS_EXIT[report.status]
 
 
 def _run_verify_qsaa(cfg: RunConfig):
     ensembles = [
-        _parse(PathEnsemble.from_dict, _load_json(path), path)
+        _parse(stochastic.PathEnsemble.from_dict, _load_json(path), path)
         for path in cfg.inputs["ensembles"]
     ]
     p = cfg.params
-    report = verify_qsaa(
+    report = stochastic.verify_qsaa(
         ensembles,
         p["lambda_grid"],
         p["eps_grid"],
@@ -413,7 +409,7 @@ def _run_gen_walks(cfg: RunConfig):
     if cfg.seed is None:
         raise CLIError("gen-walks requires --seed")
     p = cfg.params
-    ensemble = sample_walks(p["n_steps"], p["n_paths"], p["scale"], cfg.seed)
+    ensemble = stochastic.sample_walks(p["n_steps"], p["n_paths"], p["scale"], cfg.seed)
     return ensemble.to_dict(), None, EXIT_OK
 
 
@@ -544,13 +540,14 @@ def _emit(cfg: RunConfig, output) -> None:
     ``cfg.out`` or stdout.  A report file is streamed; stdout gets the whole
     text or, if the report does not serialize, nothing."""
     if not cfg.out:
-        sys.stdout.write(output if isinstance(output, str) else dumps_deterministic(output))
+        text = output if isinstance(output, str) else serialize.dumps_deterministic(output)
+        sys.stdout.write(text)
         return
     try:
         if isinstance(output, str):
-            write_atomic(cfg.out, output)
+            serialize.write_atomic(cfg.out, output)
         else:
-            write_report(cfg.out, output)
+            serialize.write_report(cfg.out, output)
     except OSError as exc:
         raise CLIError(f"{cfg.out}: cannot write: {exc.strerror or exc}")
 
@@ -565,7 +562,7 @@ def run(cfg: RunConfig) -> int:
         )
     results, table, code = command.run(cfg)
     if cfg.format == "csv":
-        _emit(cfg, csv_text(command.csv, table))
+        _emit(cfg, serialize.csv_text(command.csv, table))
     elif not command.envelope:
         _emit(cfg, results)
     else:

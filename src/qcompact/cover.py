@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ball import chebyshev_center
+from .ball import ragged_chebyshev_centers
 
 __all__ = [
     "ProfileEntry",
@@ -96,6 +96,8 @@ def cover_profile(dist, k_max: int, coords=None) -> CoverProfile:
         picks.append(nxt)
         mind = np.minimum(mind, d[nxt])
 
+    if coords is not None:
+        amb_centers = _cluster_centers(d, coords, picks, k_max)
     entries = []
     amb_prev = np.inf
     for k, radius in enumerate(radii, start=1):
@@ -110,16 +112,7 @@ def cover_profile(dist, k_max: int, coords=None) -> CoverProfile:
             packing = 0.0
         ambient = None
         if coords is not None:
-            assign = np.argmin(d[np.array(centers)][:, :], axis=0)
-            amb_centers = np.stack(
-                [
-                    chebyshev_center(coords[assign == c]).center
-                    if (assign == c).any()
-                    else coords[centers[c]]
-                    for c in range(len(centers))
-                ]
-            )
-            diff = coords[None, :, :] - amb_centers[:, None, :]
+            diff = coords[None, :, :] - amb_centers[k - 1][:, None, :]
             amb_r = float(np.sqrt((diff * diff).sum(axis=2)).min(axis=0).max())
             ambient = min(amb_r, radius, amb_prev)
             amb_prev = ambient
@@ -134,6 +127,24 @@ def cover_profile(dist, k_max: int, coords=None) -> CoverProfile:
             )
         )
     return CoverProfile(entries=tuple(entries))
+
+
+def _cluster_centers(d: np.ndarray, coords: np.ndarray, picks: list[int], k_max: int):
+    """For k = 1..k_max, the Chebyshev centers of the clusters of the first k
+    ``picks`` (each point joins its nearest pick, the first of equals), as
+    one array per k with a row per pick; an empty cluster keeps its pick.
+    Every nonempty cluster of every k goes into one ragged ball batch."""
+    members, sizes, centers = [], [], []
+    for k in range(1, k_max + 1):
+        assign = np.argmin(d[picks[:k]], axis=0)
+        members.append(np.argsort(assign, kind="stable"))
+        sizes.append(np.bincount(assign, minlength=len(picks[:k])))
+        centers.append(coords[picks[:k]])
+    sizes = np.concatenate(sizes)
+    flat = np.concatenate(centers)
+    full = sizes > 0
+    flat[full] = ragged_chebyshev_centers(coords[np.concatenate(members)], sizes[full])[0]
+    return np.split(flat, np.cumsum([len(c) for c in centers])[:-1])
 
 
 def exact_kcenter(dist, k: int) -> tuple[float, tuple[int, ...]]:

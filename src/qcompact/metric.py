@@ -9,6 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .arrays import distinct
 from .tolerances import COORD_MATCH_RTOL, TRIANGLE_SLACK
 
 __all__ = ["FiniteMetricSpace", "IndexSet", "inflate", "open_ball"]
@@ -250,7 +251,7 @@ class FiniteMetricSpace:
         """Sorted unique positive entries of the distance matrix."""
         iu = np.triu_indices(self.n_points, k=1)
         vals = self.dist[iu]
-        return np.unique(vals[vals > 0.0])
+        return distinct(vals[vals > 0.0])
 
     def same_as(self, other: "FiniteMetricSpace") -> bool:
         """Whether the two distance matrices agree up to ``COORD_MATCH_RTOL``

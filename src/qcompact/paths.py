@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ball import chebyshev_centers, jung_ratio
+from .arrays import distinct
+from .ball import jung_ratio, ragged_chebyshev_centers
 from .errors import InternalConsistencyError
 from .tolerances import CERT_TOL, PATH_BOUND_SLACK
 
@@ -187,7 +188,7 @@ def _pair_distances(xs: Sequence[PLPath], ys: Sequence[PLPath]) -> np.ndarray:
     out = np.empty(len(xs))
     for idx in _grids(xs, ys):
         kx, ky = xs[idx[0]].knots, ys[idx[0]].knots
-        t = np.union1d(kx, ky)
+        t = distinct(np.concatenate([kx, ky]))
         wx, wy = _weights(kx, t), _weights(ky, t)
         for part in _chunks(idx, t.size * xs[idx[0]].n_dim):
             diff = _interp(_stack(xs, part), wx) - _interp(_stack(ys, part), wy)
@@ -376,14 +377,7 @@ def _family_window_balls(family: Sequence[PLPath], windows):
     if family[0].n_dim == 1:
         return _window_balls(family, lo, hi)
     values, sizes = _window_values(family, lo, hi)
-    sizes = sizes.ravel()
-    starts = np.cumsum(sizes) - sizes
-    centers = np.empty((sizes.size, values.shape[1]))
-    radii = np.empty(sizes.size)
-    # one batched solve for all windows of one point count
-    for n in np.unique(sizes):
-        sel = np.nonzero(sizes == n)[0]
-        centers[sel], radii[sel] = chebyshev_centers(values[starts[sel, None] + np.arange(n)])
+    centers, radii = ragged_chebyshev_centers(values, sizes.ravel())
     shape = (len(family), len(windows))
     return centers.reshape(*shape, -1), radii.reshape(shape)
 
@@ -578,8 +572,10 @@ def verify_qaa(
     n_dim = family[0].n_dim
 
     # the family's defect at each grid width: each row's alpha, and the left
-    # side of every row's lower-direction check
-    fam_defects = [mu_uec_family(family, d) for d in delta_grid]
+    # side of every row's lower-direction check.  Each column of ``moduli``
+    # is computed alone, so one call gives each width's defect of a call
+    # for that width.
+    fam_defects = moduli(family, delta_grid).max(axis=0).tolist()
     rows = []
     ok_all = True
     for delta, alpha in zip(delta_grid, fam_defects):
@@ -588,8 +584,8 @@ def verify_qaa(
         bound = net.certified_bound
         upper_ok = covering <= bound + CERT_TOL
         lower_rows = []
-        for dp, fam_def in zip(delta_grid, fam_defects):
-            net_def = mu_uec_family(net.members, dp)
+        net_defects = moduli(net.members, delta_grid).max(axis=0).tolist()
+        for dp, fam_def, net_def in zip(delta_grid, fam_defects, net_defects):
             rhs = 2.0 * covering + net_def
             ok = fam_def <= rhs + CERT_TOL
             lower_rows.append(

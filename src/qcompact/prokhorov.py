@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .arrays import distinct, probability_vector
 from .errors import InternalConsistencyError
 from .maxflow import transport_flow
 from .metric import (
@@ -40,10 +41,9 @@ from .metric import (
     closed_neighborhood,
     quotient_bound,
 )
-from .tolerances import FLOW_TOL, MASS_ROUND_TOL, MASS_SUM_TOL, ORACLE_BISECT_TOL
+from .tolerances import FLOW_TOL, ORACLE_BISECT_TOL
 
 __all__ = [
-    "probability_vector",
     "DiscreteMeasure",
     "CouplingCertificate",
     "ViolationCertificate",
@@ -63,28 +63,6 @@ __all__ = [
     "QProkhReport",
     "verify_qprokh",
 ]
-
-
-def probability_vector(values, what: str = "masses") -> np.ndarray:
-    """``values`` validated and renormalized to total exactly 1, read-only.
-
-    Entries must be finite and nonnegative (entries down to
-    ``-MASS_ROUND_TOL`` are taken as 0), and their total must lie within
-    ``MASS_SUM_TOL`` of 1 before it is divided out.  ``what`` names the
-    entries in error messages.
-    """
-    values = np.array(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} must be finite")
-    if values.min(initial=0.0) < -MASS_ROUND_TOL:
-        raise ValueError(f"{what} must be nonnegative")
-    values = np.maximum(values, 0.0)
-    total = float(values.sum())
-    if abs(total - 1.0) > MASS_SUM_TOL:
-        raise ValueError(f"{what} sum to {total!r}, not 1")
-    values /= total
-    values.setflags(write=False)
-    return values
 
 
 class DiscreteMeasure:
@@ -378,7 +356,7 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     sq = np.flatnonzero(q_mass > 0.0)
     block = _support_block(dist, sp, sq)
     p_vec, q_vec = p_mass[sp], q_mass[sq]
-    u = np.unique(block)
+    u = distinct(block)
     deficiency: dict[int, float] = {}
     kept: dict[int, tuple] = {}  # flows at k* and k* - 1, for the rechecks
 
@@ -386,7 +364,7 @@ def prokhorov_sweep(p_mass, q_mass, dist, lambda_grid) -> list[ProkhorovResult]:
     for lam in lambda_grid:
         bps = u / lam
         if (bps[1:] == bps[:-1]).any():
-            bps = np.unique(bps)
+            bps = distinct(bps)
         if bps[0] != 0.0:
             bps = np.concatenate([[0.0], bps])
         known = len(deficiency)
@@ -718,6 +696,24 @@ class QProkhReport:
     hint: str = ""
 
 
+def _quartiles(values: np.ndarray) -> list[float]:
+    """The quartiles of the sorted ``values``, as ``np.quantile(values,
+    [0.25, 0.5, 0.75])`` gives them by its default linear rule, bit for bit:
+    at position q(n - 1), between the values a and b on either side, with
+    the fraction f of the way, ``a + (b - a) f`` for f < 1/2 and
+    ``b - (b - a)(1 - f)`` otherwise.  (``np.quantile`` imports
+    ``numpy.ma``.)"""
+    last = len(values) - 1
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        at = last * q
+        i = math.floor(at)
+        f = at - i
+        a, b = float(values[i]), float(values[min(i + 1, last)])
+        out.append(a + (b - a) * f if f < 0.5 else b - (b - a) * (1.0 - f))
+    return out
+
+
 def verify_qprokh(
     family: Sequence[DiscreteMeasure],
     lambda_grid,
@@ -748,8 +744,8 @@ def verify_qprokh(
     if eps_grid is None:
         pos = space.positive_distances()
         if pos.size:
-            qs = np.quantile(pos, [0.25, 0.5, 0.75]) / 2.0
-            eps_grid = sorted(set(float(x) for x in qs if x > 0.0))
+            qs = [q / 2.0 for q in _quartiles(pos)]
+            eps_grid = sorted(set(q for q in qs if q > 0.0))
         else:
             eps_grid = [1.0]
     if k_max is None:

@@ -18,10 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cover import covering_radius
-from .metric import FiniteMetricSpace
+# cover, metric and prokhorov run only when a sandwich reads them, not
+# when gen-walks builds an ensemble
+from . import cover, metric, prokhorov
+from .arrays import distinct, probability_vector
 from .paths import PLPath, aa_net, moduli, values_at
-from .prokhorov import probability_vector, prokhorov_sweep
 from .tolerances import CERT_TOL, NORM_BOUND_FLOOR
 
 __all__ = [
@@ -260,7 +261,7 @@ def _union_knots(paths: Sequence[PLPath]) -> np.ndarray:
     """The sorted union of the paths' knots, reading each knot array once:
     the members of a net share one."""
     grids = {id(x.knots): x.knots for x in paths}
-    return np.unique(np.concatenate(list(grids.values())))
+    return distinct(np.concatenate(list(grids.values())))
 
 
 def _squared_distances(row_vals, n: int, col_vals: np.ndarray) -> np.ndarray:
@@ -293,10 +294,10 @@ def _squared_distances(row_vals, n: int, col_vals: np.ndarray) -> np.ndarray:
     return dist
 
 
-def path_metric_space(paths: Sequence[PLPath]) -> FiniteMetricSpace:
+def path_metric_space(paths: Sequence[PLPath]) -> metric.FiniteMetricSpace:
     """Metric space of the given paths under the uniform norm."""
     paths = list(paths)
-    return FiniteMetricSpace(path_distances(paths, paths), validate_triangle=False)
+    return metric.FiniteMetricSpace(path_distances(paths, paths), validate_triangle=False)
 
 
 def _law(where, weights: np.ndarray, n: int) -> np.ndarray:
@@ -313,7 +314,7 @@ def path_prokhorov(ens_p: PathEnsemble, ens_q: PathEnsemble, lam: float) -> floa
     cols, where_q = _dedupe(ens_q.paths)
     p = _law(where_p, ens_p.weights, len(rows))
     q = _law(where_q, ens_q.weights, len(cols))
-    return prokhorov_sweep(p, q, path_distances(rows, cols), [lam])[0].alpha_star
+    return prokhorov.prokhorov_sweep(p, q, path_distances(rows, cols), [lam])[0].alpha_star
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +421,9 @@ def verify_qsaa(
     unique, where = _dedupe(all_paths)
     # each unique path's modulus at delta*, read off its first occurrence
     j_star = osc.delta_grid.index(delta_star)
-    first = np.unique(where, return_index=True)[1]
+    # a path's unique index first shows where the running max of ``where``
+    # reaches it, since ``_dedupe`` numbers them in order of first appearance
+    first = np.searchsorted(np.maximum.accumulate(where), np.arange(len(unique)))
     osc_u = np.concatenate([o[:, j_star] for o in osc.moduli])[first]
     kept_pos: dict[int, int] = {}
     kept: list[PLPath] = []
@@ -450,14 +453,17 @@ def verify_qsaa(
     laws = [_law(u, e.weights, len(unique)) for e, u in zip(ensembles, parts)]
     candidates = [_law(member_of[u], e.weights, len(net.members)) for e, u in zip(ensembles, parts)]
     alpha = np.array(
-        [[[r.alpha_star for r in prokhorov_sweep(p, c, dist, lambda_grid)] for c in candidates]
-         for p in laws]
+        [
+            [[r.alpha_star for r in prokhorov.prokhorov_sweep(p, c, dist, lambda_grid)]
+             for c in candidates]
+            for p in laws
+        ]
     )
     rows = []
     failed = False
     sup_covering = 0.0
     for k, lam in enumerate(lambda_grid):
-        covering = covering_radius(alpha[:, :, k])
+        covering = cover.covering_radius(alpha[:, :, k])
         slack_net = r_net / lam
         guaranteed = a + b + slack_net + eps
         ok = covering <= guaranteed + CERT_TOL

@@ -21,7 +21,7 @@ from qcompact import (
     jung_ratio,
 )
 from qcompact import ball as ball_module
-from qcompact.ball import hull_bound
+from qcompact.ball import hull_bound, ragged_chebyshev_centers
 from qcompact.tolerances import HULL_TOL
 
 from oracles import meb_by_subsets, meb_grid_1e6, meb_welzl_recursive, support_certificate_nnls
@@ -328,13 +328,15 @@ class TestPivoting:
 BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
-def _run_python(code: str) -> str:
-    """stdout of ``python -c code`` in a fresh process that imports this qcompact."""
+def _run_python(code: str, cwd=None) -> str:
+    """stdout of ``python -c code``, run in ``cwd``, in a fresh process that
+    imports this qcompact."""
     src = os.path.dirname(os.path.dirname(qcompact.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        [sys.executable, "-c", code], env=env, cwd=cwd, check=True, capture_output=True,
+        text=True,
     )
     return out.stdout
 
@@ -523,6 +525,65 @@ class TestChebyshevCenters:
     def test_rejects_bad_input(self, sets, message):
         with pytest.raises(ValueError, match=message):
             chebyshev_centers(sets)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestRaggedCenters:
+    """Sets of different sizes go into one stack, each padded with copies of
+    its first row; the loop leaves the copies out as duplicates."""
+
+    @given(
+        st.integers(1, 16),
+        st.lists(st.integers(1, 16), min_size=1, max_size=6),
+        st.sampled_from([0.0, 1e6]),
+        st.sampled_from([None, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_padded_sets_match_single_calls(self, dim, sizes, offset, lattice, seed):
+        rng = np.random.default_rng(seed)
+        sets = [rng.standard_normal((n, dim)) for n in sizes]
+        # coarse lattices give sets with duplicate rows
+        if lattice is not None:
+            sets = [np.round(s / lattice) * lattice for s in sets]
+        sets = [s + offset for s in sets]
+        width = max(sizes)
+        padded = np.stack([np.concatenate([s, np.repeat(s[:1], width - len(s), axis=0)])
+                           for s in sets])
+        stacked = chebyshev_centers(padded)
+        ragged = ragged_chebyshev_centers(np.concatenate(sets), sizes)
+        for b, pts in enumerate(sets):
+            want = chebyshev_center(pts)
+            for centers, radii in (stacked, ragged):
+                assert same_bits(centers[b], want.center)
+                assert same_bits(radii[b], want.radius)
+
+    def test_chunks_do_not_change_the_balls(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(1, 9, 30)
+        points = rng.standard_normal((sizes.sum(), 3))
+        whole = ragged_chebyshev_centers(points, sizes)
+        monkeypatch.setattr(ball_module, "BATCH_CHUNK", 1)
+        one_by_one = ragged_chebyshev_centers(points, sizes)
+        assert same_bits(whole[0], one_by_one[0]) and same_bits(whole[1], one_by_one[1])
+
+    @pytest.mark.parametrize(
+        "points, sizes, message",
+        [
+            (np.zeros((3, 2)), [], "set sizes"),
+            (np.zeros((3, 2)), [2, 0, 1], ">= 1"),
+            (np.zeros((3, 2)), [2, 2], "add up"),
+            (np.zeros(3), [3], "point array"),
+            (np.full((2, 2), np.nan), [2], "finite"),
+            (np.zeros((2, 17)), [2], "dimension"),
+        ],
+    )
+    def test_rejects_bad_input(self, points, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            ragged_chebyshev_centers(points, sizes)
 
 
 class TestJung:

@@ -3,12 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcompact import FiniteMetricSpace, cover_profile, covering_radius, exact_kcenter
+from qcompact import (
+    FiniteMetricSpace,
+    chebyshev_center,
+    cover_profile,
+    covering_radius,
+    exact_kcenter,
+)
+from qcompact import cover as cover_module
 
 
 def line_space(*xs):
     xs = np.asarray(xs, dtype=float)
     return np.abs(xs[:, None] - xs[None, :])
+
+
+def ambient_by_single_balls(d, coords, k_max):
+    """The ambient radii of ``cover_profile``, with one ``chebyshev_center``
+    call per cluster of each k (a center of an empty cluster stays put)."""
+    out, prev = [], np.inf
+    for entry in cover_profile(d, k_max).entries:
+        assign = np.argmin(d[list(entry.centers)], axis=0)
+        centers = np.stack([
+            chebyshev_center(coords[assign == c]).center if (assign == c).any()
+            else coords[entry.centers[c]]
+            for c in range(len(entry.centers))
+        ])
+        diff = coords[None, :, :] - centers[:, None, :]
+        prev = min(float(np.sqrt((diff * diff).sum(axis=2)).min(axis=0).max()), entry.radius, prev)
+        out.append(prev)
+    return out
 
 
 @st.composite
@@ -107,6 +131,33 @@ class TestCoverProfile:
         prof = cover_profile(line_space(0, 1, 9, 10), 2, coords=coords)
         assert prof.entries[1].ambient_radius == pytest.approx(0.5, abs=1e-12)
         assert prof.entries[1].ambient_radius <= prof.entries[1].radius
+
+    @pytest.mark.parametrize("dim, n, k_max", [(1, 30, 6), (2, 50, 8), (8, 300, 6), (16, 80, 4)])
+    @pytest.mark.parametrize("spacing", [None, 1.0])
+    def test_one_ball_batch_matches_single_balls(self, dim, n, k_max, spacing, monkeypatch):
+        # every cluster of every k in one padded batch, bit for bit the
+        # balls of one call per cluster; a coarse lattice gives duplicates
+        coords = np.random.default_rng([dim, n]).standard_normal((n, dim))
+        if spacing is not None:
+            coords = np.round(coords / spacing) * spacing
+        d = FiniteMetricSpace(coords=coords).dist
+        calls = []
+        batch = cover_module.ragged_chebyshev_centers
+        monkeypatch.setattr(
+            cover_module, "ragged_chebyshev_centers", lambda *a: calls.append(1) or batch(*a)
+        )
+        got = [e.ambient_radius for e in cover_profile(d, k_max, coords=coords).entries]
+        assert calls == [1]
+        assert got == ambient_by_single_balls(d, coords, k_max)
+
+    def test_empty_clusters_keep_their_pick(self):
+        # three equal points: every pick after the first is point 0 again,
+        # whose cluster is empty
+        coords = np.array([[1.0, 2.0]] * 3)
+        d = np.zeros((3, 3))
+        prof = cover_profile(d, 4, coords=coords)
+        assert [e.centers for e in prof.entries] == [(0,), (0, 0), (0, 0, 0), (0, 0, 0)]
+        assert [e.ambient_radius for e in prof.entries] == ambient_by_single_balls(d, coords, 4)
 
     def test_fixed_centers_objective_is_subset_monotone(self):
         # with the center set held fixed, a superset's worst point is at

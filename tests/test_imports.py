@@ -1,22 +1,34 @@
 """Every name a package module imports is used in that module, every name
 a module exports resolves, no module imports scipy, no module imports
-hashlib but as a fallback for a missing module, no module but
+hashlib but as a fallback for a missing module, no module calls a numpy
+function that imports ``numpy.ma`` but where listed, no module but
 ``tolerances.py`` writes a tolerance-sized float literal, and every
 tolerance that ``tolerances.py`` defines is imported by another module.
 
 No linter ships with the package, so this parses each module with ``ast``.
-``__init__.py`` is exempt from the unused-import check: its imports are the
-package's re-exports.
+``__init__.py`` is exempt from the unused-import check: it imports only
+what it uses to serve the package.
+
+A CLI job runs only the modules its command reads: after ``import
+qcompact.cli`` every other module is registered but lazy, and a command
+runs what it calls.  Those checks run in fresh processes.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcompact"
+import qcompact
+from test_ball import _run_python
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qcompact"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -62,6 +74,40 @@ def _catches_import_error(handler: ast.ExceptHandler) -> bool:
         "ImportError",
         "ModuleNotFoundError",
     )
+
+
+#: numpy functions whose first call imports ``numpy.ma`` (about 11 ms): since
+#: numpy 2 they ask it whether their argument is masked
+MASKED_ARRAY_TRIGGERS = frozenset(
+    {"unique", "union1d", "intersect1d", "setdiff1d", "setxor1d", "quantile", "percentile",
+     "median", "ma"}
+)
+
+#: the calls allowed, as ``masked_array_triggers`` names them, by module: the
+#: lattice rows that only the aa-net report lists
+MASKED_ARRAY_EXCEPTIONS = {"paths.py": ["AANet.grid_points: np.unique"]}
+
+
+def masked_array_triggers(source: str) -> list[str]:
+    """Each read of ``np.<name>`` or ``numpy.<name>`` for a name in
+    ``MASKED_ARRAY_TRIGGERS``, as ``"<enclosing class and function>: np.<name>"``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and node.attr in MASKED_ARRAY_TRIGGERS
+        ):
+            found.append(f"{'.'.join(scope) or '<module>'}: {node.value.id}.{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
 
 
 def tolerance_literals(source: str) -> list[str]:
@@ -136,6 +182,28 @@ def test_detects_a_hashlib_import_but_not_a_fallback():
     ]
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_masked_array_triggers(path):
+    assert masked_array_triggers(path.read_text()) == MASKED_ARRAY_EXCEPTIONS.get(path.name, [])
+
+
+def test_detects_a_masked_array_trigger():
+    source = (
+        "import numpy as np\n"
+        "u = np.unique(x)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return numpy.quantile(y, 0.5) + np.sort(y)\n"
+        "def g(a, b):\n"
+        "    def h():\n"
+        "        return np.ma.masked\n"
+        "    return reduce(np.union1d, (a, b))\n"
+    )
+    assert masked_array_triggers(source) == [
+        "<module>: np.unique", "A.f: numpy.quantile", "g.h: np.ma", "g: np.union1d"
+    ]
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(p for p in PACKAGE.glob("*.py") if p.name != "tolerances.py"),
@@ -194,3 +262,80 @@ def test_exports_resolve_once(name):
     exported = getattr(module, "__all__", [])
     assert [n for n, c in Counter(exported).items() if c > 1] == []
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_star_import_exports_all():
+    namespace: dict = {}
+    exec("from qcompact import *", namespace)
+    assert [name for name in qcompact.__all__ if name not in namespace] == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qcompact.no_such_name
+
+
+#: prints the package's executed and lazy modules, and whether numpy.ma is loaded
+_REPORT_MODULES = (
+    "import json, sys\n"
+    "mods = {n.split('.', 1)[1]: type(m).__name__ for n, m in list(sys.modules.items())\n"
+    "        if n.startswith('qcompact.')}\n"
+    "print(json.dumps({'ran': sorted(n for n, t in mods.items() if t == 'module'),\n"
+    "                  'lazy': sorted(n for n, t in mods.items() if t == '_LazyModule'),\n"
+    "                  'numpy.ma': 'numpy.ma' in sys.modules}))\n"
+)
+
+
+def _wrapped_by_the_tracer() -> list[tuple[str, str]]:
+    """``(module, function or Class.method)`` for each function that
+    ``perfbench/tracer.py`` wraps in a traced job."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, target) for module, target, _ in tracer.WRAPPED]
+
+
+def test_cli_import_runs_only_what_every_command_reads():
+    state = json.loads(_run_python("import qcompact.cli\n" + _REPORT_MODULES))
+    assert state["ran"] == ["cli", "errors", "tolerances"]
+    assert state["lazy"] == sorted(p.stem for p in MODULES if p.stem not in state["ran"])
+    # a lazy module stays in sys.modules, where a traced job finds every
+    # function it wraps; reading one runs the module
+    for module, target in _wrapped_by_the_tracer():
+        owner = sys.modules[f"qcompact.{module}"]
+        for attr in target.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (module, target)
+
+
+@pytest.mark.parametrize(
+    "case, ran",
+    [
+        ("cheby", ["ball", "cli", "errors", "serialize", "tolerances"]),
+        # an ensemble needs paths (and ball, which paths imports from), but
+        # none of the sandwich's kernels
+        ("gen-walks", ["arrays", "ball", "cli", "errors", "paths", "serialize", "stochastic",
+                       "tolerances"]),
+    ],
+)
+def test_a_command_runs_only_its_modules(case, ran, tmp_path):
+    from test_golden import CASES
+
+    argv, status = CASES[case]
+    argv = [*argv, "--out", str(tmp_path / "report.json")]
+    code = f"from qcompact.cli import main\nassert main({argv!r}) == {status}\n" + _REPORT_MODULES
+    state = json.loads(_run_python(code, cwd=ROOT / "tests" / "golden" / "inputs"))
+    assert state["ran"] == ran
+    assert state["lazy"] == sorted(p.stem for p in MODULES if p.stem not in ran)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cheby", "cover-profile", "verify-qaa", "prokhorov-dist", "verify-qsaa", "verify-qprokh",
+     "tv-dist", "mu-ut"],
+)
+def test_golden_runs_leave_numpy_ma_unloaded(case, tmp_path):
+    from test_golden import CASES
+
+    argv, status = CASES[case]
+    argv = [*argv, "--out", str(tmp_path / "report.json")]
+    code = f"from qcompact.cli import main\nassert main({argv!r}) == {status}\n" + _REPORT_MODULES
+    state = json.loads(_run_python(code, cwd=ROOT / "tests" / "golden" / "inputs"))
+    assert state["numpy.ma"] is False

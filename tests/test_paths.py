@@ -619,3 +619,27 @@ class TestVerifyQAA:
             math.sqrt(2.0 / 6.0) * row.alpha + 0.01, abs=1e-12
         )
         assert row.covering <= row.bound + 1e-12
+
+    def test_one_moduli_call_per_family(self, monkeypatch):
+        # one call for the family and one per net, each over the whole
+        # grid; its defects are those of one call per width
+        calls = []
+        batch = paths_module.moduli
+
+        def counted(family, deltas):
+            calls.append(len(deltas))
+            return batch(family, deltas)
+
+        family = random_family(np.random.default_rng(5), 3, 12)
+        grid = [0.05, 0.1, 0.2]
+        bound_m = max(x.sup_norm for x in family)
+        with monkeypatch.context() as m:
+            m.setattr(paths_module, "moduli", counted)
+            report = verify_qaa(family, grid, bound_m, 0.05)
+        # aa_net checks the family's oscillation at its own width
+        assert calls == [3] + [1, 3] * 3
+        for row in report.rows:
+            net = aa_net(family, row.delta, row.alpha, bound_m, 0.05)
+            for lower, dp in zip(row.lower_rows, grid, strict=True):
+                assert lower.family_defect == mu_uec_family(family, dp)
+                assert lower.net_defect == mu_uec_family(net.members, dp)

@@ -451,6 +451,28 @@ class TestVerifyQprokh:
         assert report.status == "inconclusive"
         assert "k_max" in report.hint
 
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1e6, exclude_min=True), st.sampled_from([0.5, 1.0, 3.0])),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300)
+    def test_quartiles_match_np_quantile(self, values):
+        values = np.sort(np.array(values))
+        want = np.quantile(values, [0.25, 0.5, 0.75]).tolist()
+        got = prokhorov_module._quartiles(values)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_default_eps_grid_is_the_halved_quartiles(self):
+        rng = np.random.default_rng(2)
+        sp = FiniteMetricSpace(coords=rng.random((9, 2)))
+        family = [DiscreteMeasure(sp, m) for m in rng.dirichlet(np.ones(9), size=3)]
+        qs = np.quantile(sp.positive_distances(), [0.25, 0.5, 0.75]) / 2.0
+        report = verify_qprokh(family, [1.0], 0.5)
+        assert [e.eps for e in report.mu_ut.entries] == sorted(set(qs.tolist()))
+
 
 LAMBDAS = (1 / 7, 1 / 3, 1e-3, 1e3, 0.5, 1.0, 2.0, 3.0)
 

@@ -427,7 +427,8 @@ class TestVerifyQsaaWork:
         args = (xi, [0.5, 1.0, 2.0], [0.25], [0.01], [2.0], 0.05)
         shared = verify_qsaa(*args)
         shared_calls, calls[0] = calls[0], 0
-        monkeypatch.setattr(stochastic_module, "prokhorov_sweep", per_lambda)
+        # verify_qsaa reads the sweep off the prokhorov module at each call
+        monkeypatch.setattr(prokhorov_module, "prokhorov_sweep", per_lambda)
         looped = verify_qsaa(*args)
         assert shared_calls < calls[0]
         assert to_jsonable(shared) == to_jsonable(looped)
