@@ -122,7 +122,8 @@ def _validate_params(command: str, raw: dict) -> dict:
     return out
 
 
-def _validate_inputs(command: str, raw: dict) -> dict:
+def _validate_inputs(command: str, raw: dict, base: str) -> dict:
+    """The input paths of ``command``, each joined to ``base``."""
     spec = COMMANDS[command].inputs
     _reject_unknown(raw, [r for r, _ in spec], f"inputs for {command}")
     out = {}
@@ -137,49 +138,43 @@ def _validate_inputs(command: str, raw: dict) -> dict:
                 raise CLIError(
                     f"inputs for {command}: {role!r} must be a nonempty list of paths"
                 )
+            out[role] = [os.path.abspath(os.path.join(base, v)) for v in value]
         elif not isinstance(value, str):
             raise CLIError(f"inputs for {command}: {role!r} must be a path string")
-        out[role] = value
+        else:
+            out[role] = os.path.abspath(os.path.join(base, value))
     return out
 
 
-def load_config_file(path: str) -> RunConfig:
-    obj = _load_json(path)
+def _run_config(obj, flags: dict, base: str, where: str) -> RunConfig:
+    """The one check of a run object, whether a config file holds it or the
+    flags build it.  The ``--out``/``--format``/``--seed`` values in
+    ``flags`` are laid over it first, so they pass the same checks as the
+    object's own; input paths are joined to ``base``, and errors name
+    ``where``."""
     if not isinstance(obj, dict):
-        raise CLIError(f"{path}: config must be a JSON object")
-    _reject_unknown(obj, {"command", "inputs", "params", "out", "format", "seed"}, path)
+        raise CLIError(f"{where}: config must be a JSON object")
+    obj = {**obj, **flags}
+    _reject_unknown(obj, [f.name for f in fields(RunConfig)], where)
     command = obj.get("command")
     if not isinstance(command, str) or command not in COMMANDS:
-        raise CLIError(f"{path}: unknown command {command!r}")
-    fmt = obj.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise CLIError(f"{path}: format must be 'json' or 'csv'")
+        raise CLIError(f"{where}: unknown command {command!r}")
+    if "format" in obj and obj["format"] not in ("json", "csv"):
+        raise CLIError(f"{where}: format must be 'json' or 'csv'")
     seed = obj.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
-        raise CLIError(f"{path}: seed must be a nonnegative integer")
-    out = obj.get("out")
-    if out is not None and not isinstance(out, str):
-        raise CLIError(f"{path}: out must be a path string")
+        raise CLIError(f"{where}: seed must be a nonnegative integer")
+    if obj.get("out") is not None and not isinstance(obj["out"], str):
+        raise CLIError(f"{where}: out must be a path string")
     for key in ("inputs", "params"):
         if not isinstance(obj.get(key, {}), dict):
-            raise CLIError(f"{path}: {key} must be a JSON object")
-    base = os.path.dirname(os.path.abspath(path))
-    inputs = _validate_inputs(command, obj.get("inputs", {}))
-    resolved = {
-        role: (
-            [os.path.join(base, p) for p in v]
-            if isinstance(v, list)
-            else os.path.join(base, v)
-        )
-        for role, v in inputs.items()
-    }
+            raise CLIError(f"{where}: {key} must be a JSON object")
     return RunConfig(
         command=command,
-        inputs=resolved,
+        inputs=_validate_inputs(command, obj.get("inputs", {}), base),
         params=_validate_params(command, obj.get("params", {})),
-        out=out,
-        format=fmt,
-        seed=seed,
+        # a field left out keeps RunConfig's default
+        **{key: obj[key] for key in ("out", "format", "seed") if key in obj},
     )
 
 
@@ -337,9 +332,9 @@ def _run_cover_profile(cfg: RunConfig):
 
 def _run_modulus(cfg: RunConfig):
     path = _parse(paths.PLPath.from_dict, _load_json(cfg.inputs["path"]), cfg.inputs["path"])
+    grid = cfg.params["delta_grid"]
     rows = [
-        {"delta": d, "modulus": paths.modulus(path, d)}
-        for d in cfg.params["delta_grid"]
+        {"delta": d, "modulus": float(m)} for d, m in zip(grid, paths.moduli([path], grid)[0])
     ]
     return {"sup_norm": path.sup_norm, "rows": rows}, None, EXIT_OK
 
@@ -590,7 +585,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
+    sub.add_argument("--format", choices=["json", "csv"])
     sub.add_argument("--seed", type=int)
 
 
@@ -608,31 +603,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = COMMANDS[args.command]
-    inputs: dict[str, Any] = {}
-    for role, is_list in command.inputs:
-        value = getattr(args, role)
-        inputs[role] = [os.path.abspath(v) for v in value] if is_list else os.path.abspath(value)
-    raw_params = {name: getattr(args, name) for name in command.params}
-    if args.seed is not None and args.seed < 0:
-        raise CLIError("seed: must be a nonnegative integer")
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        params=_validate_params(args.command, raw_params),
-        out=args.out,
-        format=args.format,
-        seed=args.seed,
-    )
-
-
 def _config_parser() -> _Parser:
     parser = _Parser(prog="qcompact")
     parser.add_argument("--config", required=True)
     _add_common(parser)
-    # a flag left out keeps the config file's value
-    parser.set_defaults(format=None)
     return parser
 
 
@@ -651,21 +625,24 @@ def main(argv=None) -> int:
         parser = _config_parser()
         if any(_names_config(parser, a) for a in argv):
             args = parser.parse_args(argv)
-            cfg = load_config_file(args.config)
-            if args.out is not None:
-                cfg.out = args.out
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.format is not None:
-                cfg.format = args.format
+            obj = _load_json(args.config)
+            base, where = os.path.dirname(os.path.abspath(args.config)), args.config
         else:
             parser = build_parser()
             args = parser.parse_args(argv)
             if args.command is None:
                 parser.print_help()
                 return EXIT_INPUT
-            cfg = _config_from_args(args)
-        return run(cfg)
+            command = COMMANDS[args.command]
+            obj = {
+                "command": args.command,
+                "inputs": {role: getattr(args, role) for role, _ in command.inputs},
+                "params": {name: getattr(args, name) for name in command.params},
+            }
+            base, where = os.getcwd(), "command line"
+        # a common flag left out keeps the run object's value
+        flags = {k: v for k in ("out", "format", "seed") if (v := getattr(args, k)) is not None}
+        return run(_run_config(obj, flags, base, where))
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -89,15 +89,6 @@ class DiscreteMeasure:
         mass[index] = 1.0
         return cls(space, mass)
 
-    @classmethod
-    def uniform(cls, space: FiniteMetricSpace, support=None) -> "DiscreteMeasure":
-        mass = np.zeros(space.n_points)
-        if support is None:
-            mass[:] = 1.0
-        else:
-            mass[np.asarray(list(support), dtype=int)] = 1.0
-        return cls(space, mass)
-
     @property
     def support(self) -> np.ndarray:
         return np.nonzero(self.mass > 0.0)[0]

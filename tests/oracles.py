@@ -14,8 +14,8 @@ package routine as the reference for a faster one: ``close_pairs_two_sided``
 ``window_balls_per_window`` (one ``chebyshev_center`` call per window),
 ``transport_flow_unpruned`` (Dinic's walk over every labelled atom, with
 every allowed pair listed up front), and the path kernels one path at a
-time: ``path_at``, ``modulus_per_path``, ``uniform_distance_per_pair``,
-``window_balls_per_path`` and ``window_values_per_path``.
+time: ``path_at``, ``modulus_per_path``, ``uniform_distance_per_pair``
+and ``window_values_per_path``.
 """
 
 from __future__ import annotations
@@ -166,31 +166,6 @@ def window_values_per_path(x, lo: np.ndarray, hi: np.ndarray):
     times[starts] = lo
     times[ends - 1] = hi
     return path_at(x, times), sizes
-
-
-def window_balls_per_path(x, windows) -> tuple[np.ndarray, np.ndarray]:
-    """``paths._window_balls`` on one 1-D path: centers (one row per window)
-    and radii of the balls of its points in each window, from its min and
-    max there."""
-    lo, hi = np.array(windows).T
-    v_lo = path_at(x, lo)[:, 0]
-    v_hi = path_at(x, hi)[:, 0]
-    # a trailing dummy lets reduceat take a window ending at the last knot
-    v_knots = np.append(path_at(x, x.knots)[:, 0], 0.0)
-    bounds = np.stack([
-        np.searchsorted(x.knots, lo, side="left"),
-        np.searchsorted(x.knots, hi, side="right"),
-    ], axis=1).ravel()
-    inner = bounds[1::2] > bounds[::2]
-    mins = np.minimum(v_lo, v_hi)
-    maxs = np.maximum(v_lo, v_hi)
-    mins[inner] = np.minimum(mins, np.minimum.reduceat(v_knots, bounds)[::2])[inner]
-    maxs[inner] = np.maximum(maxs, np.maximum.reduceat(v_knots, bounds)[::2])[inner]
-    # on a constant window the solver keeps the first point, the left end;
-    # taking it keeps the sign of a zero
-    flat = mins == maxs
-    mins[flat] = maxs[flat] = v_lo[flat]
-    return ((mins + maxs) / 2.0)[:, None], (maxs - mins) / 2.0
 
 
 def modulus_per_knot(x, delta: float) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import pytest
 import qcompact
 from qcompact import cli
 from qcompact.cli import _load_measures, main
+
+from test_golden import CASES, INPUTS, run_case
 
 
 def write_json(path, obj):
@@ -58,6 +61,30 @@ def files(tmp_path):
         "dir": tmp_path,
     }
     return out
+
+
+def as_config(argv):
+    """A golden case's flags written as a config object: the positional
+    arguments are its inputs, ``--format`` and ``--seed`` its fields, and
+    every other flag a param, with its value as JSON numbers."""
+    command, *args = argv
+    config = {"command": command, "inputs": {}, "params": {}}
+    positional = []
+    while args:
+        arg = args.pop(0)
+        if not arg.startswith("--"):
+            positional.append(arg)
+            continue
+        name, text = arg[2:].replace("-", "_"), args.pop(0)
+        if name in ("format", "seed"):
+            config[name] = text if name == "format" else int(text)
+        elif name.endswith("_grid"):
+            config["params"][name] = [json.loads(v) for v in text.split(",")]
+        else:
+            config["params"][name] = json.loads(text)
+    for role, is_list in cli.COMMANDS[command].inputs:
+        config["inputs"][role] = positional if is_list else positional.pop(0)
+    return config
 
 
 def run_json(args, out_file):
@@ -474,26 +501,32 @@ class TestExitThree:
 
 
 class TestConfigMode:
-    def make_config(self, files, tmp_path, out_name="out.json"):
+    def make_config(self, files, tmp_path, out_name="out.json", **more):
         cfg = {
             "command": "prokhorov-dist",
             "inputs": {"p": "p.json", "q": "q.json"},
             "params": {"lambda_grid": [0.5, 1.0]},
             "out": str(tmp_path / out_name),
+            **more,
         }
         return write_json(files["dir"] / "cfg.json", cfg)
 
-    def test_config_matches_flags(self, files, tmp_path):
-        cfg = self.make_config(files, tmp_path)
-        rc = main(["--config", cfg])
-        assert rc == 0
-        via_config = (tmp_path / "out.json").read_text()
-        rc2, _ = run_json(
-            ["prokhorov-dist", files["p"], files["q"], "--lambda-grid", "0.5,1.0"],
-            tmp_path / "flags.json",
-        )
-        assert rc2 == 0
-        assert via_config == (tmp_path / "flags.json").read_text()
+    @pytest.mark.parametrize(
+        "name",
+        sorted(n for n, (argv, code) in CASES.items() if code in (0, 3) and argv[0] != "--config"),
+    )
+    def test_config_matches_flags(self, name, tmp_path, monkeypatch):
+        """Each golden case that runs, written as a config object next to its
+        inputs and run from another directory, prints what its flags print
+        and exits with their code."""
+        argv, code = CASES[name]
+        shutil.copytree(INPUTS, tmp_path / "inputs")
+        write_json(tmp_path / "inputs" / "case.json", as_config(argv))
+        monkeypatch.chdir(tmp_path / "inputs")
+        via_flags = run_case(argv)
+        assert via_flags[0] == code and via_flags[1] and not via_flags[2]
+        monkeypatch.chdir(tmp_path)
+        assert run_case(["--config", "inputs/case.json"]) == via_flags
 
     @pytest.mark.parametrize("flag", [["--conf"], ["--c"], ["--conf="]])
     def test_abbreviated_config_flag(self, flag, files, tmp_path):
@@ -513,6 +546,29 @@ class TestConfigMode:
         )
         assert rc == 0
         assert (tmp_path / "out.csv").read_text() == (tmp_path / "flags.csv").read_text()
+
+    def test_seed_and_out_flags_override_the_config(self, files, tmp_path):
+        cfg = self.make_config(files, tmp_path, seed=3)
+        assert main(["--config", cfg, "--seed", "5", "--out", str(tmp_path / "flag.json")]) == 0
+        assert not (tmp_path / "out.json").exists()
+        rc, want = run_json(
+            ["prokhorov-dist", files["p"], files["q"], "--lambda-grid", "0.5,1.0", "--seed", "5"],
+            tmp_path / "flags.json",
+        )
+        assert rc == 0 and want["seed"] == 5
+        assert (tmp_path / "flag.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+        assert main(["--config", cfg, "--seed", "0"]) == 0
+        assert json.loads((tmp_path / "out.json").read_text())["seed"] == 0
+
+    @pytest.mark.parametrize("more", [[], ["--format", "csv"], ["--out", "flag.json"]])
+    def test_negative_seed_override_is_rejected(self, more, files, tmp_path, capsys, monkeypatch):
+        """The override passes the check the file's own seed does."""
+        cfg = self.make_config(files, tmp_path, seed=3)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["--config", cfg, "--seed", "-5", *more]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: seed must be a nonnegative integer\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_rerun_is_byte_identical(self, files, tmp_path):
         cfg = self.make_config(files, tmp_path)
